@@ -22,6 +22,13 @@ SLO_P99_MS = 50.0
 #: has a growing backlog, whatever its latency says.
 SLO_MIN_ACHIEVED = 0.95
 
+#: A rung whose sender ran this late (p99 lag against the schedule)
+#: measured the load generator, not the program.
+GENERATOR_LAG_MS = 0.2 * SLO_P99_MS
+
+#: Tail percentiles tried by :func:`highest_tail`, highest first.
+TAIL_LEVELS = (99.0, 95.0, 90.0)
+
 
 def percentile(samples: Sequence[float], p: float) -> float:
     """The ``p``-th percentile (0..100) by linear interpolation."""
@@ -65,13 +72,13 @@ def median(samples: Sequence[float]) -> float:
     return percentile(samples, 50.0)
 
 
-def highest_tail(samples: Sequence[float], levels=(99.0, 95.0, 90.0)):
+def highest_tail(samples: Sequence[float]):
     """``(level, value)`` of the highest percentile a sample can carry.
 
-    The first of ``levels`` with at least :data:`MIN_BEYOND` samples
+    The first of :data:`TAIL_LEVELS` with at least :data:`MIN_BEYOND` samples
     beyond it; ``None`` when none qualifies.
     """
-    for level in levels:
+    for level in TAIL_LEVELS:
         if beyond(len(samples), level) >= MIN_BEYOND:
             return level, percentile(samples, level)
     return None
@@ -88,6 +95,8 @@ class Rung:
     p99_ms: float
     attempted: int
     failed: int
+    #: p99 of how late the sender ran against the schedule.
+    lag_p99_ms: float
 
     def meets_slo(self) -> bool:
         """p99 within the limit, nothing failed, no growing backlog."""
@@ -98,19 +107,40 @@ class Rung:
             and self.achieved >= SLO_MIN_ACHIEVED * self.scheduled
         )
 
+    def generator_bound(self) -> bool:
+        """The sender fell behind its schedule: the rung judged the generator."""
+        return self.lag_p99_ms > GENERATOR_LAG_MS
+
+
+def ladder_end(rungs: Iterable[Rung]) -> str:
+    """Why an ascending ladder's climb stopped.
+
+    ``"generator"`` at a rung whose sender fell behind (its result, pass
+    or miss, says nothing about the program), ``"slo"`` at the first rung
+    that missed the SLO, ``"top"`` when every rung passed.
+    """
+    for rung in rungs:
+        if rung.generator_bound():
+            return "generator"
+        if not rung.meets_slo():
+            return "slo"
+    return "top"
+
 
 def max_qps(rungs: Iterable[Rung]) -> float:
     """Throughput at the highest rung of an ascending ladder meeting the SLO.
 
     The ladder is climbed in order and the climb stops at the first rung
-    that misses: a rate above a failed one is not sustainable even if a
-    lucky rung passes.  The figure is the rate that rung *achieved*, a
-    measured number rather than the ladder's nominal step.  0.0 when the
-    lowest rung already misses.
+    that misses or is :meth:`Rung.generator_bound`: a rate above a failed
+    one is not sustainable even if a lucky rung passes, and a rung the
+    generator could not offer on time is neither a pass nor a miss of
+    the program.  The figure is the rate the last passing rung
+    *achieved*, a measured number rather than the ladder's nominal step.
+    0.0 when the lowest rung already stops the climb.
     """
     best = 0.0
     for rung in rungs:
-        if not rung.meets_slo():
+        if rung.generator_bound() or not rung.meets_slo():
             break
         best = rung.achieved
     return best

@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -87,8 +87,6 @@ def drive(
     k: int,
     offsets: Sequence[float],
     settle_timeout: float = 60.0,
-    clock: Callable[[], float] = time.perf_counter,
-    sleep: Callable[[float], None] = time.sleep,
 ) -> OpenLoopRun:
     """Offer ``queries`` at ``offsets`` over ``client``; wait for every answer.
 
@@ -111,7 +109,7 @@ def drive(
         try:
             for _ in range(n):
                 response = client.recv()
-                t = clock()
+                t = time.perf_counter()
                 rid = response.get("id")
                 if isinstance(rid, int) and 0 <= rid < n:
                     run.received[rid] = t
@@ -123,15 +121,15 @@ def drive(
 
     receiver = threading.Thread(target=receive, name="perfbench-recv", daemon=True)
     receiver.start()
-    t0 = clock()
+    t0 = time.perf_counter()
     run.started = t0
     for i, (query, offset) in enumerate(zip(run.queries, offsets)):
         due = t0 + float(offset)
         run.due[i] = due
-        delay = due - clock()
+        delay = due - time.perf_counter()
         if delay > 0:
-            sleep(delay)
-        run.sent[i] = clock()
+            time.sleep(delay)
+        run.sent[i] = time.perf_counter()
         try:
             client.send({"op": "query", "id": i, "query": query, "k": int(k)})
         except OSError as exc:
@@ -140,7 +138,7 @@ def drive(
             break
     done.wait(timeout=settle_timeout)
     received = [t for t in run.received if t is not None]
-    run.finished = max(received) if received else clock()
+    run.finished = max(received) if received else time.perf_counter()
     if not done.is_set():
         # Unblock the receiver; whatever is still missing is lost.
         client.close()

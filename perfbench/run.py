@@ -2,7 +2,7 @@
 
 Usage (from the root of a checkout)::
 
-    python3 perfbench/run.py --workload online-zipf --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload batch-uniform --seed 1 --seconds 20 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics, measured with tracing off.
 ``--trace 1`` runs the layer probes with spans on, writes the spans as
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -42,6 +43,8 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    # A terminated run still stops its servers and pool workers.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     if not os.path.isdir(os.path.join(ROOT, "src", "repro")):
         print(f"error: no program to measure under {ROOT}/src", file=sys.stderr)
         return 2

@@ -19,6 +19,9 @@ from typing import Dict, List, Optional, Sequence
 #: every measured process.
 PINNED_OUT = ("REPRO_KERNEL_BACKEND", "REPRO_PRECISION")
 
+#: Seconds a server may take from launch to its first ``ping``.
+START_TIMEOUT = 120.0
+
 
 def pin_environment(root: str) -> None:
     """Pin this process's environment, which every child inherits."""
@@ -96,7 +99,6 @@ class Server:
         index_path: str,
         workdir: str,
         extra: Sequence[str] = (),
-        start_timeout: float = 120.0,
     ) -> None:
         self.index_path = index_path
         self.workdir = workdir
@@ -104,7 +106,6 @@ class Server:
         self.port_file = os.path.join(workdir, "port")
         self.log_path = os.path.join(workdir, "server.log")
         self.extra = list(extra)
-        self.start_timeout = start_timeout
         self.proc: Optional[subprocess.Popen] = None
         self.port: Optional[int] = None
 
@@ -132,7 +133,7 @@ class Server:
     def _await_ping(self) -> None:
         from repro.serving.frontdoor import FrontDoorClient
 
-        deadline = time.perf_counter() + self.start_timeout
+        deadline = time.perf_counter() + START_TIMEOUT
         while self.port is None:
             if self.proc.poll() is not None:
                 raise RuntimeError(

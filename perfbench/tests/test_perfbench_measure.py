@@ -53,7 +53,7 @@ def test_percentile_interpolates():
 
 
 # -- max_qps rung selection -----------------------------------------------
-def rung(offered, p99=5.0, failed=0, achieved=None):
+def rung(offered, p99=5.0, failed=0, achieved=None, lag=0.5):
     return Rung(
         offered=offered,
         scheduled=offered,
@@ -61,6 +61,7 @@ def rung(offered, p99=5.0, failed=0, achieved=None):
         p99_ms=p99,
         attempted=1000,
         failed=failed,
+        lag_p99_ms=lag,
     )
 
 
@@ -90,6 +91,23 @@ def test_max_qps_any_failure_misses():
 
 def test_max_qps_stops_at_first_miss_even_if_a_higher_rung_passes():
     assert measure.max_qps([rung(100), rung(200, failed=3), rung(400)]) == 100
+
+
+def test_generator_bound_rung_ends_the_climb_without_counting():
+    late = measure.GENERATOR_LAG_MS + 0.01
+    # A passing rung the sender could not offer on time is not a pass...
+    assert measure.max_qps([rung(100), rung(200, lag=late), rung(400)]) == 100
+    # ...and a missing one is not charged to the program as a miss.
+    ladder = [rung(100), rung(200, p99=80.0, lag=late)]
+    assert measure.max_qps(ladder) == 100
+    assert measure.ladder_end(ladder) == "generator"
+    assert measure.max_qps([rung(100, lag=measure.GENERATOR_LAG_MS)]) == 100
+
+
+def test_ladder_end_names_why_the_climb_stopped():
+    assert measure.ladder_end([rung(100), rung(200)]) == "top"
+    assert measure.ladder_end([rung(100), rung(200, p99=80.0)]) == "slo"
+    assert measure.ladder_end([rung(100, failed=1), rung(200, lag=99.0)]) == "slo"
 
 
 def test_max_qps_zero_when_lowest_rung_misses():

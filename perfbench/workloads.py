@@ -10,6 +10,7 @@ each workload is for and which layer it puts in charge.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
@@ -41,10 +42,10 @@ C = 0.95
 #: Poisson schedule, update batches) over this fixed graph, so the
 #: run-to-run spread measures the program rather than the graph drawn.
 GRAPH_SEED = 5
-#: Set-ups per run; ``setup_s`` is their median.
-SETUPS = 2
 #: Roots whose answers are checked before anything is timed.
 CHECK_ROOTS = 64
+#: Set-ups per run; ``setup_s`` is the fastest (see :func:`_setup_s`).
+SETUPS = 5
 #: ``top_k_many`` batch size of the offline scorer.
 BATCH = 64
 #: Churn: closed-loop chunks of reads between update batches (480 reads,
@@ -54,9 +55,6 @@ CHUNKS_PER_UPDATE = 15
 UPDATE_SIZE = 8
 MIN_UPDATES = 3
 CHUNK = 32
-#: Each timed stream is cut into this many equal windows; p50 and
-#: closed-loop throughput are those of the least disturbed window.
-RATE_WINDOWS = 5
 #: Open-loop ladder: coarse rungs grow by 1.5x from the fixed rate, fine
 #: rungs by 1.08x from the last coarse rung that met the SLO.
 LADDER_COARSE = 1.5
@@ -184,28 +182,30 @@ def _open_stream(port: int, queries: Sequence[int], k: int, rate: float, seed: i
         return drive(client, queries, k, offsets)
 
 
-def _latency_metrics(windows: Sequence[Sequence[float]]) -> Dict[str, float]:
-    """``p50_ms``: the lowest median among the stream's windows (seconds in).
-
-    The machine the benchmark runs on is shared, and another tenant can
-    slow a few seconds of a run by a third.  The least disturbed window
-    still moves with every change to the program.  The pooled sample's
-    median and the highest tail it can carry (p99 from 902 samples on)
-    are printed with the sample count.
-    """
-    pooled = [x * 1e3 for window in windows for x in window]
-    info = {"latency_samples": len(pooled), "windows": len(windows)}
-    info["pooled_p50_ms"] = measure.median(pooled)
-    tail = measure.highest_tail(pooled)
+def _print_latencies(latencies: Sequence[float]) -> None:
+    """Print the timed stream's latency median (seconds in), its sample
+    count and the highest tail the sample can carry (p99 from 902
+    samples on).  They are reported, not gated: see ``README.md``."""
+    samples = [x * 1e3 for x in latencies]
+    info = {"latency_samples": len(samples), "p50_ms": measure.median(samples)}
+    tail = measure.highest_tail(samples)
     if tail is not None:
-        info[f"pooled_p{tail[0]:g}_ms"] = tail[1]
+        info[f"p{tail[0]:g}_ms"] = tail[1]
     print(json.dumps(info), flush=True)
-    return {"p50_ms": min(measure.median(window) for window in windows) * 1e3}
 
 
-def _split(samples: Sequence[float], parts: int) -> List[Sequence[float]]:
-    size = len(samples) // parts
-    return [samples[i * size : (i + 1) * size] for i in range(parts)]
+def _setup_s(setups: Sequence[float]) -> float:
+    """``setup_s``: the fastest of the run's set-ups, each printed.
+
+    A set-up is one single-threaded build of a few seconds, and another
+    tenant of the shared machine can slow a whole one by half; the
+    fastest is the least disturbed, and it still moves with a slower
+    build.  ``README.md`` gives the measured spreads.  Each set-up
+    starts from a collected heap, so what an earlier one left behind is
+    not charged to the next.
+    """
+    print(json.dumps({"setups_s": list(setups)}), flush=True)
+    return min(setups)
 
 
 # ----------------------------------------------------------------------
@@ -220,6 +220,7 @@ def run_online(run: Run) -> Dict[str, float]:
             if server is not None:
                 server.stop()
             work = run.fresh_dir(f"setup{i}")
+            gc.collect()
             t0 = time.perf_counter()
             server = _start_server(run, work)
             setups.append(time.perf_counter() - t0)
@@ -242,26 +243,31 @@ def run_online(run: Run) -> Dict[str, float]:
         run.failed += fixed.failed
         print(json.dumps({"statuses": fixed.statuses()}), flush=True)
         ref.check_stream(run, fixed, "fixed-rate stream")
-        metrics = _latency_metrics(_split(fixed.latencies()["latency"], RATE_WINDOWS))
+        _print_latencies(fixed.latencies()["latency"])
         rungs = climb(server.port, run, ref, _rung(fixed, wl.rate))
-        metrics["qps"] = measure.max_qps(rungs)
-        print(json.dumps({"ladder": [vars(r) for r in rungs]}), flush=True)
+        metrics = {"qps": measure.max_qps(rungs)}
+        print(json.dumps({
+            "ladder": [dict(vars(r), generator_bound=r.generator_bound()) for r in rungs],
+            "ladder_end": measure.ladder_end(rungs),
+        }), flush=True)
         metrics["peak_rss_mb"] = server.peak_rss_mb()
     finally:
         if server is not None:
             server.stop()
-    metrics["setup_s"] = measure.median(setups)
+    metrics["setup_s"] = _setup_s(setups)
     metrics["index_mb"] = index_mb
     return metrics
 
 
 def _rung(stream, rate: float) -> measure.Rung:
     """One open-loop stream judged as a rung of the ladder at ``rate``."""
-    latency = [x * 1e3 for x in stream.latencies()["latency"]]
+    timed = stream.latencies()
+    latency = [x * 1e3 for x in timed["latency"]]
     try:
         p99 = measure.tail(latency, 99.0)
     except ValueError:
         p99 = float("inf")
+    lag = [x * 1e3 for x in timed["lag"]]
     return measure.Rung(
         offered=rate,
         scheduled=stream.attempted / max(stream.due[-1] - stream.started, 1e-9),
@@ -269,6 +275,7 @@ def _rung(stream, rate: float) -> measure.Rung:
         p99_ms=p99,
         attempted=stream.attempted,
         failed=stream.failed,
+        lag_p99_ms=measure.percentile(lag, 99.0) if lag else float("inf"),
     )
 
 
@@ -276,10 +283,11 @@ def climb(port: int, run: Run, ref: Reference, first: measure.Rung) -> List[meas
     """The offered-rate ladder: coarse steps until a miss, then fine steps.
 
     ``first`` is the fixed-rate stream, judged as the lowest rung; the
-    climb starts one coarse step above it.  A rung that misses the SLO is
-    offered once more and counts as a miss only if it misses again, so a
-    single stall of a shared machine does not end the climb; a limit of
-    the program misses both times.
+    climb starts one coarse step above it.  A rung that misses the SLO
+    or is generator-bound, the first included, is offered once more and
+    ends the climb only if it does so again, so a single stall of a
+    shared machine does not end the climb; a limit of the program misses
+    both times.
     """
     rungs: List[measure.Rung] = [first]
 
@@ -290,15 +298,20 @@ def climb(port: int, run: Run, ref: Reference, first: measure.Rung) -> List[meas
         time.sleep(0.05)  # let the backlog of a missed rung clear
         return _rung(stream, rate)
 
+    def passes(result: measure.Rung) -> bool:
+        return result.meets_slo() and not result.generator_bound()
+
     def rung(rate: float) -> bool:
         result = attempt(rate)
-        if not result.meets_slo():
+        if not passes(result):
             result = attempt(rate)
         rungs.append(result)
-        return result.meets_slo()
+        return passes(result)
 
-    if not first.meets_slo():
-        return rungs
+    if not passes(first):
+        rungs[0] = first = attempt(first.offered)
+        if not passes(first):
+            return rungs
     last_ok = first.offered
     rate = last_ok * LADDER_COARSE
     while rate <= LADDER_MAX and rung(rate):
@@ -320,6 +333,7 @@ def run_batch(run: Run) -> Dict[str, float]:
     for i in range(SETUPS):
         engine = None
         store_dir = run.fresh_dir(f"setup{i}")
+        gc.collect()
         t0 = time.perf_counter()
         snapshot = _publisher(_build(run.graph), store_dir).publish()
         engine = QueryEngine(load_index(snapshot.path), cache_size=1024)
@@ -333,46 +347,47 @@ def run_batch(run: Run) -> Dict[str, float]:
     for _ in range(16):  # fill the LRU cache before timing
         engine.top_k_many(run.roots(BATCH), wl.k)
 
-    windows: List[List[float]] = []
-    rates: List[float] = []
+    calls: List[float] = []
     kept = []
-    queries = 0
     t_start = time.perf_counter()
-    for window in range(RATE_WINDOWS):
-        w_start, w_queries, calls = time.perf_counter(), 0, []
-        windows.append(calls)
-        while time.perf_counter() - t_start < run.seconds * (window + 1) / RATE_WINDOWS:
-            batch = run.roots(BATCH)
-            t0 = time.perf_counter()
-            results = engine.top_k_many(batch, wl.k)
-            # Every query of the call is answered when the call returns.
-            calls.append(time.perf_counter() - t0)
-            w_queries += len(batch)
-            if len(kept) * 16 <= (queries + w_queries) // BATCH:
-                kept.append((batch, results))
-        queries += w_queries
-        rates.append(w_queries / (time.perf_counter() - w_start))
+    while time.perf_counter() - t_start < run.seconds:
+        batch = run.roots(BATCH)
+        t0 = time.perf_counter()
+        results = engine.top_k_many(batch, wl.k)
+        # Every query of the call is answered when the call returns.
+        calls.append(time.perf_counter() - t0)
+        if len(kept) * 16 <= len(calls):
+            kept.append((batch, results))
+    elapsed = time.perf_counter() - t_start
+    queries = len(calls) * BATCH
     run.attempted += queries
     for batch, results in kept:
         for root, result in zip(batch, results):
             ref.check(run, root, result.items, "timed batch")
-    metrics = _latency_metrics(windows)
-    metrics.update(
-        qps=max(rates),
-        setup_s=measure.median(setups),
+    _print_latencies(calls)
+    return dict(
+        qps=queries / elapsed,
+        setup_s=_setup_s(setups),
         index_mb=os.path.getsize(snapshot.path) / 1e6,
         peak_rss_mb=peak_rss_mb([os.getpid()]),
     )
-    return metrics
 
 
-def _start_pool(run: Run, store_dir: str, registry=None, tracer=None):
-    publisher = _publisher(_build(run.graph), store_dir)
-    snapshot = publisher.publish()
+def serving_pool(snapshot, registry=None, tracer=None):
+    """``ReplicaPool(2)`` under a ``MicroBatchScheduler`` with the shipped
+    serving defaults (rr router, batch 32, LRU 1024); the telemetry hooks
+    are on only when given."""
     pool = ReplicaPool(snapshot, 2, cache_size=1024)
     scheduler = MicroBatchScheduler(
         pool, router="rr", batch_size=32, registry=registry, tracer=tracer
     )
+    return pool, scheduler
+
+
+def _start_pool(run: Run, store_dir: str):
+    publisher = _publisher(_build(run.graph), store_dir)
+    snapshot = publisher.publish()
+    pool, scheduler = serving_pool(snapshot)
     scheduler.run(run.stream[:1], run.wl.k)
     return publisher, snapshot, pool, scheduler
 
@@ -392,6 +407,7 @@ def run_churn(run: Run) -> Dict[str, float]:
             if pool is not None:
                 pool.close()
             store_dir = run.fresh_dir(f"setup{i}")
+            gc.collect()
             t0 = time.perf_counter()
             publisher, snapshot, pool, scheduler = _start_pool(run, store_dir)
             setups.append(time.perf_counter() - t0)
@@ -405,17 +421,13 @@ def run_churn(run: Run) -> Dict[str, float]:
 
         scratch = publisher.engine.dynamic.graph.copy()
         rng = np.random.default_rng(run.seed + 4)
-        # One window per update cycle: its reads, then the update until
-        # every worker serves the new epoch.
-        windows: List[List[float]] = []
-        rates: List[float] = []
+        # Update cycles: 480 reads, then one update until every worker
+        # serves the new epoch.  The stream ends on a cycle's reads.
+        chunks: List[float] = []
         reads = batches = 0
         t_start = time.perf_counter()
         while True:
             last_epoch = []
-            chunks: List[float] = []
-            windows.append(chunks)
-            t_cycle = time.perf_counter()
             for _ in range(CHUNKS_PER_UPDATE):
                 roots = run.roots(CHUNK)
                 t0 = time.perf_counter()
@@ -424,13 +436,13 @@ def run_churn(run: Run) -> Dict[str, float]:
                 chunks.append(time.perf_counter() - t0)
                 last_epoch.append((roots, results))
                 reads += len(roots)
-            if time.perf_counter() - t_start >= run.seconds and batches >= MIN_UPDATES:
+            elapsed = time.perf_counter() - t_start
+            if elapsed >= run.seconds and batches >= MIN_UPDATES:
                 break
             inserts, deletes = make_update_batch(scratch, UPDATE_SIZE, rng)
             _, snapshot = publisher.apply_and_publish(inserts, deletes)
             scheduler.publish(snapshot)
             batches += 1
-            rates.append(CHUNKS_PER_UPDATE * CHUNK / (time.perf_counter() - t_cycle))
         run.attempted += reads + batches
         # Exactness after the last swap: the stream's last epoch and a
         # fresh sample, against the latest snapshot.
@@ -444,14 +456,13 @@ def run_churn(run: Run) -> Dict[str, float]:
     finally:
         if pool is not None:
             pool.close()
-    metrics = _latency_metrics(windows)
-    metrics.update(
-        qps=max(rates),
-        setup_s=measure.median(setups),
+    _print_latencies(chunks)
+    return dict(
+        qps=reads / elapsed,
+        setup_s=_setup_s(setups),
         index_mb=index_mb,
         peak_rss_mb=peak,
     )
-    return metrics
 
 
 RUNNERS = {"online": run_online, "batch": run_batch, "churn": run_churn}
