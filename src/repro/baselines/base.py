@@ -79,9 +79,7 @@ class ProximityBaseline(abc.ABC):
 
         Exact (full-vector deterministic) methods return 0.0; stochastic
         estimators override this with a standard-error-style figure.  The
-        value is surfaced on every :class:`TopKResult` as ``error_bound``
-        so the serving layer's precision accounting can treat baselines
-        and the approximate query path uniformly.
+        value is surfaced on every :class:`TopKResult` as ``error_bound``.
         """
         return 0.0
 

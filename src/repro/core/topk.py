@@ -43,11 +43,11 @@ class TopKResult:
     padded:
         Whether zero-proximity nodes were appended to reach ``k``.
     error_bound:
-        Certified upper bound on the absolute error of every returned
-        proximity.  Exactly ``0.0`` for exact answers (every
-        pre-existing path); a ``best_effort`` precision-tier answer
-        (:mod:`repro.query.approx`) carries its cumulative
-        power-iteration residual bound here.
+        Estimated bound on the absolute error of every returned
+        proximity.  Exactly ``0.0`` on every K-dash path, which is
+        exact; only the Monte Carlo baselines
+        (:mod:`repro.baselines.monte_carlo`) set it, from their
+        sampling error estimate.
     """
 
     query: int

@@ -18,23 +18,15 @@ Layering (bottom up):
   home shard first, remaining shards in descending bound order, whole
   shards skipped once their bound falls below the running K-th
   proximity — bit-identical answers to the single-index engine;
-- :mod:`repro.query.approx` — the precision tiers:
-  :class:`PrecisionPolicy` (``exact`` / ``bounded(eps)`` /
-  ``best_effort``), the TPA-style cumulative power-iteration fast path
-  with a certified residual bound, and the gap-overlap verifier that
-  escalates to the exact pruned scan whenever the bound overlaps the
-  k/(k+1) score gap;
 - :mod:`repro.query.stats` — :class:`QueryStats` (per call) and
   :class:`EngineStats` (lifetime aggregates), both epoch/staleness
   aware.
+
+Every query path here is exact: each answer equals the ``python``
+kernel backend's scan bit for bit.  Approximate RWR lives only in the
+paper's baselines (:mod:`repro.baselines`).
 """
 
-from .approx import (
-    ApproxState,
-    PrecisionPolicy,
-    approx_top_k,
-    cumulative_power_iteration,
-)
 from .kernel import ScanResult, pruned_scan, scan_to_topk
 from .prepared import PreparedIndex
 from .engine import QueryEngine, RebuildPolicy
@@ -42,10 +34,6 @@ from .planner import PlanStats, PlannerStats, ScatterGatherPlanner
 from .stats import EngineStats, QueryStats
 
 __all__ = [
-    "ApproxState",
-    "PrecisionPolicy",
-    "approx_top_k",
-    "cumulative_power_iteration",
     "PreparedIndex",
     "pruned_scan",
     "scan_to_topk",

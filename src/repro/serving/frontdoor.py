@@ -28,23 +28,15 @@ Wire protocol — length-prefixed JSON frames, both directions::
 
     frame    := uint32_be length | payload (UTF-8 JSON object, `length` bytes)
     request  := {"id": any, "op": "query", "query": int, "k": int,
-                 "timeout_ms": number?, "precision": str?,
-                 "eps": number?}               # also: "ping", "info"
+                 "timeout_ms": number?}        # also: "ping", "info"
     response := {"id": any, "status": "ok" | "rejected" |
                  "deadline_exceeded" | "draining" | "error",
                  "items": [[node, proximity], ...]?, "epoch": int?,
-                 "precision": str?, "error_bound": number?,
                  "message": str?}
 
-``precision`` selects the serving tier (``"exact"``, ``"bounded"``,
-``"best_effort"``, or a full spec like ``"bounded(1e-4)"``; ``eps``
-overrides the tier's error target).  Requests that omit it are served
-at the backend's default tier with byte-identical responses to the
-pre-precision protocol; requests that carry it get ``precision`` (the
-canonical spec) and ``error_bound`` (the reported CPI residual, 0.0
-for exact answers) echoed in the ``ok`` response.  The terminal-status
-set is unchanged — a malformed precision is an ``error`` like any
-other bad field.
+Every answer is exact.  A request key outside this grammar is ignored:
+a frame carrying, say, ``precision`` or ``eps`` gets the same exact
+response as one without them.
 
 JSON ``repr``/parse of a Python float round-trips the IEEE-754 double
 exactly, so "bit-identical over the wire" is a real guarantee, asserted
@@ -75,9 +67,8 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..exceptions import InvalidParameterError, ServingError
+from ..exceptions import ServingError
 from ..obs.metrics import Histogram, NULL_REGISTRY
-from ..query.approx import PrecisionPolicy
 from .snapshot import Snapshot
 
 #: Frame header: one big-endian uint32 payload length.
@@ -102,21 +93,12 @@ def encode_frame(payload: dict) -> bytes:
 class _Request:
     """One admitted query riding from the I/O thread to dispatch."""
 
-    __slots__ = (
-        "req_id",
-        "query",
-        "k",
-        "precision",
-        "deadline",
-        "t_recv",
-        "future",
-    )
+    __slots__ = ("req_id", "query", "k", "deadline", "t_recv", "future")
 
-    def __init__(self, req_id, query, k, precision, deadline, t_recv, future):
+    def __init__(self, req_id, query, k, deadline, t_recv, future):
         self.req_id = req_id
         self.query = query
         self.k = k
-        self.precision = precision  # canonical spec string or None
         self.deadline = deadline
         self.t_recv = t_recv
         self.future = future
@@ -560,7 +542,6 @@ class FrontDoor:
             req_id,
             int(frame["query"]),
             int(frame.get("k", self.default_k)),
-            self._precision_spec(frame),
             deadline,
             t_recv,
             self._loop.create_future(),
@@ -586,42 +567,7 @@ class FrontDoor:
             or timeout_ms <= 0
         ):
             return f"timeout_ms must be a positive number, got {timeout_ms!r}"
-        precision = frame.get("precision")
-        eps = frame.get("eps")
-        if eps is not None and (
-            not isinstance(eps, (int, float))
-            or isinstance(eps, bool)
-            or not 0.0 < eps < 1.0
-        ):
-            return f"eps must be a number in (0, 1), got {eps!r}"
-        if precision is None:
-            if eps is not None:
-                return "eps requires a precision field"
-            return None
-        if not isinstance(precision, str):
-            return f"precision must be a string, got {precision!r}"
-        if eps is not None and "(" in precision:
-            return (
-                "give eps inline in precision or as an eps field, not both"
-            )
-        try:
-            self._precision_spec(frame)
-        except InvalidParameterError as exc:
-            return str(exc)
         return None
-
-    @staticmethod
-    def _precision_spec(frame: dict) -> Optional[str]:
-        """Canonical precision spec of one validated frame (None = the
-        backend's default tier, i.e. the pre-precision request shape)."""
-        precision = frame.get("precision")
-        if precision is None:
-            return None
-        eps = frame.get("eps")
-        spec = (
-            f"{precision}({float(eps)!r})" if eps is not None else precision
-        )
-        return PrecisionPolicy.parse(spec).spec
 
     async def _await_response(self, request: _Request, out_q) -> None:
         response = await request.future
@@ -701,9 +647,7 @@ class FrontDoor:
             )
             return
         try:
-            seq = self.scheduler.submit(
-                request.query, request.k, precision=request.precision
-            )
+            seq = self.scheduler.submit(request.query, request.k)
         except Exception as exc:
             self._resolve(
                 request,
@@ -750,26 +694,20 @@ class FrontDoor:
                 )
                 continue
             self.latency.observe(now - request.t_recv)
-            response = {
-                "id": request.req_id,
-                "status": "ok",
-                "query": request.query,
-                "k": request.k,
-                "epoch": epoch,
-                "items": [
-                    [int(node), float(proximity)]
-                    for node, proximity in result.items
-                ],
-            }
-            if request.precision is not None:
-                # Echo the tier plus the reported error estimate; a
-                # default-tier request keeps the pre-precision response
-                # shape byte-for-byte.
-                response["precision"] = request.precision
-                response["error_bound"] = float(
-                    getattr(result, "error_bound", 0.0)
-                )
-            self._resolve(request, response)
+            self._resolve(
+                request,
+                {
+                    "id": request.req_id,
+                    "status": "ok",
+                    "query": request.query,
+                    "k": request.k,
+                    "epoch": epoch,
+                    "items": [
+                        [int(node), float(proximity)]
+                        for node, proximity in result.items
+                    ],
+                },
+            )
 
     def _resolve(self, request: _Request, response: dict) -> None:
         self._count(response["status"])
@@ -858,17 +796,11 @@ class FrontDoorClient:
         k: int = 10,
         timeout_ms: Optional[float] = None,
         req_id=None,
-        precision: Optional[str] = None,
-        eps: Optional[float] = None,
     ) -> dict:
         """One query round-trip; returns the response dict."""
         payload: Dict[str, object] = {"op": "query", "query": int(query), "k": int(k)}
         if timeout_ms is not None:
             payload["timeout_ms"] = timeout_ms
-        if precision is not None:
-            payload["precision"] = precision
-        if eps is not None:
-            payload["eps"] = float(eps)
         if req_id is not None:
             payload["id"] = req_id
         return self.request(payload)

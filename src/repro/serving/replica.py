@@ -27,7 +27,6 @@ Wire protocol (tuples, first element is the kind):
 direction    message                                        reply
 ===========  =============================================  ===========
 to worker    ``("batch", batch_id, [(query, k), ...])``     ``("results", wid, batch_id, [TopKResult, ...])``
-to worker    ``("batch", batch_id, [(query, k, prec), ...])``  same reply shape
 to worker    ``("swap", epoch, path)``                      ``("swapped", wid, epoch)``
 to worker    ``("stats",)``                                 ``("stats", wid, stats_dict)``
 to worker    ``("metrics",)``                               ``("metrics", wid, registry_snapshot)``
@@ -45,13 +44,6 @@ identical to PR 3.  ``metrics`` returns the worker engine's
 :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`; per-worker latency
 histograms share bucket bounds, so the pool folds them with
 :meth:`~repro.obs.metrics.MetricsRegistry.merge`.
-
-Precision tiers ride the request tuples: a batch whose requests are
-3-tuples carries a per-request precision spec string (``"exact"``,
-``"bounded(1e-06)"``, ``"best_effort(0.001)"``, or ``None`` for the
-worker engine's default — see :mod:`repro.query.approx`).  A
-default-tier stream keeps the original 2-tuple envelope, so
-precision-off serving is wire-identical to PR 9.
 
 A worker that hits an unexpected exception reports
 ``("error", wid, message)`` and exits; the pool surfaces it as a
@@ -103,31 +95,25 @@ def _report_worker_crash(result_q, worker_id: int) -> None:
         )
 
 
-def _serve_batch(engine: QueryEngine, requests: Sequence[Tuple]):
-    """Serve one micro-batch of ``(query, k[, precision])`` requests,
-    input order kept.
+def _serve_batch(engine: QueryEngine, requests: Sequence[Tuple[int, int]]):
+    """Serve one micro-batch of ``(query, k)`` requests, input order kept.
 
-    Requests are grouped by ``(k, precision)`` so each group runs
-    through one :meth:`~repro.query.engine.QueryEngine.top_k_many` call
-    (shared workspace + within-batch dedup); answers are identical to
-    per-query ``top_k`` calls, so grouping is purely an execution
-    detail.  A 2-tuple request (the pre-precision envelope) means the
-    engine's default tier.
+    Requests are grouped by ``k`` so each group runs through one
+    :meth:`~repro.query.engine.QueryEngine.top_k_many` call (shared
+    workspace + within-batch dedup); answers are identical to per-query
+    ``top_k`` calls, so grouping is purely an execution detail.
 
     Returns ``(results, group_stats)`` — one
     :class:`~repro.query.stats.QueryStats` per executed group, which is
     what the trace leaf span sums its scan counters from.
     """
-    groups: Dict[Tuple[int, Optional[str]], List[int]] = {}
-    for i, request in enumerate(requests):
-        spec = request[2] if len(request) > 2 else None
-        groups.setdefault((int(request[1]), spec), []).append(i)
+    by_k: Dict[int, List[int]] = {}
+    for i, (_, k) in enumerate(requests):
+        by_k.setdefault(int(k), []).append(i)
     results: List = [None] * len(requests)
     group_stats: List = []
-    for (k, spec), idxs in groups.items():
-        answers = engine.top_k_many(
-            [requests[i][0] for i in idxs], k, precision=spec
-        )
+    for k, idxs in by_k.items():
+        answers = engine.top_k_many([requests[i][0] for i in idxs], k)
         for i, answer in zip(idxs, answers):
             results[i] = answer
         group_stats.append(engine.last_stats)
@@ -346,8 +332,7 @@ class ReplicaPool:
         self._request_qs[worker_id].put(message)
 
     def submit(self, worker_id: int, batch_id: int, requests, ctxs=None) -> None:
-        """Dispatch one micro-batch of ``(query, k[, precision])``
-        requests to a worker.
+        """Dispatch one micro-batch of ``(query, k)`` requests to a worker.
 
         ``ctxs`` (one trace context or ``None`` per request) extends the
         envelope only when at least one request is traced — an untraced

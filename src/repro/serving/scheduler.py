@@ -39,7 +39,6 @@ from ..core.topk import TopKResult
 from ..exceptions import InvalidParameterError, ServingError
 from ..obs.metrics import NULL_REGISTRY
 from ..obs.tracing import NULL_TRACER
-from ..query.approx import PrecisionPolicy
 from ..validation import check_positive_int
 from .replica import ReplicaPool
 from .router import Router, make_router
@@ -89,8 +88,7 @@ class MicroBatchScheduler:
         self.batch_size = check_positive_int(batch_size, "batch_size")
         self.metrics = NULL_REGISTRY if registry is None else registry
         self.tracer = NULL_TRACER if tracer is None else tracer
-        # Buffered requests: (seq, query, k, precision spec or None).
-        self._buffers: List[List[Tuple[int, int, int, Optional[str]]]] = [
+        self._buffers: List[List[Tuple[int, int, int]]] = [
             [] for _ in range(pool.n_workers)
         ]
         self._pending: Dict[int, List[int]] = {}  # batch_id -> seqs
@@ -111,17 +109,12 @@ class MicroBatchScheduler:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def submit(self, query: int, k: int = 5, precision=None) -> int:
+    def submit(self, query: int, k: int = 5) -> int:
         """Route one request; returns its sequence number.
 
         Dispatches the target worker's buffer when it reaches
-        ``batch_size``.  ``precision`` (a spec string or
-        :class:`~repro.query.approx.PrecisionPolicy`, ``None`` = the
-        worker engine's default tier) rides the batch envelope as its
-        canonical spec string, so mixed-precision traffic batches
-        freely.
+        ``batch_size``.
         """
-        spec = None if precision is None else PrecisionPolicy.parse(precision).spec
         seq = self._next_seq
         self._next_seq += 1
         worker_id = self.router.route(int(query), self.pool.n_workers)
@@ -138,7 +131,7 @@ class MicroBatchScheduler:
             self.tracer.finish(route)
             self._spans[seq] = root
         buffer = self._buffers[worker_id]
-        buffer.append((seq, int(query), int(k), spec))
+        buffer.append((seq, int(query), int(k)))
         if len(buffer) >= self.batch_size:
             self._dispatch(worker_id)
         return seq
@@ -149,12 +142,12 @@ class MicroBatchScheduler:
             return
         batch_id = self._next_batch
         self._next_batch += 1
-        self._pending[batch_id] = [seq for seq, _, _, _ in buffer]
+        self._pending[batch_id] = [seq for seq, _, _ in buffer]
         ctxs = None
         if self._spans:
             traced = [
                 self._spans[seq].context() if seq in self._spans else None
-                for seq, _, _, _ in buffer
+                for seq, _, _ in buffer
             ]
             if any(c is not None for c in traced):
                 ctxs = traced
@@ -167,14 +160,9 @@ class MicroBatchScheduler:
                 help="requests per dispatched micro-batch",
                 bounds=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
             ).observe(len(buffer))
-        # Default-tier batches stay 2-tuples — byte-identical envelopes
-        # to the pre-precision protocol; any non-default request widens
-        # the whole batch to 3-tuples.
-        if any(spec is not None for _, _, _, spec in buffer):
-            requests = [(q, k, spec) for _, q, k, spec in buffer]
-        else:
-            requests = [(q, k) for _, q, k, _ in buffer]
-        self.pool.submit(worker_id, batch_id, requests, ctxs=ctxs)
+        self.pool.submit(
+            worker_id, batch_id, [(q, k) for _, q, k in buffer], ctxs=ctxs
+        )
         self._buffers[worker_id] = []
 
     def flush(self) -> None:
@@ -231,16 +219,13 @@ class MicroBatchScheduler:
             )
         return [self._results.pop(s) for s in seqs]
 
-    def run(
-        self, queries: Sequence[int], k: int = 5, precision=None
-    ) -> List[TopKResult]:
+    def run(self, queries: Sequence[int], k: int = 5) -> List[TopKResult]:
         """Serve a query stream end-to-end; results in input order.
 
         The drop-in pool equivalent of
-        ``engine.top_k_many(queries, k, precision=precision)`` — same
-        answers, same order.
+        ``engine.top_k_many(queries, k)`` — same answers, same order.
         """
-        seqs = [self.submit(q, k, precision=precision) for q in queries]
+        seqs = [self.submit(q, k) for q in queries]
         self.drain()
         return self.take_results(seqs)
 
@@ -290,8 +275,6 @@ class MicroBatchScheduler:
             "scans_executed": 0,
             "invalidations": 0,
             "snapshot_swaps": 0,
-            "fast_path_queries": 0,
-            "escalated_queries": 0,
         }
         for stats in per_worker:
             for key in (
@@ -301,17 +284,11 @@ class MicroBatchScheduler:
                 "scans_executed",
                 "invalidations",
                 "snapshot_swaps",
-                "fast_path_queries",
-                "escalated_queries",
             ):
-                total[key] += stats.get(key, 0)
+                total[key] += stats[key]
         served = total["queries_served"]
         hits = total["cache_hits"] + total["dedup_hits"]
         total["hit_rate"] = (hits / served) if served else 0.0
-        attempts = total["fast_path_queries"] + total["escalated_queries"]
-        total["escalation_rate"] = (
-            (total["escalated_queries"] / attempts) if attempts else 0.0
-        )
         epochs = [s.get("snapshot_epoch") for s in per_worker]
         total["snapshot_epoch"] = max(
             (e for e in epochs if e is not None), default=None

@@ -63,7 +63,6 @@ from ..core.topk import TopKResult
 from ..exceptions import InvalidParameterError, ServingError
 from ..obs.metrics import MetricsRegistry, NULL_REGISTRY
 from ..obs.tracing import NULL_TRACER, remote_span
-from ..query.approx import PrecisionPolicy
 from ..query.kernel import ScanResult, scan_to_topk
 from ..validation import check_k, check_node_id, check_positive_int
 from .replica import ReplicaPool, _report_worker_crash
@@ -479,28 +478,12 @@ class ShardedScheduler:
         self.queries_done = 0
         self.shards_visited = 0
         self.shards_skipped = 0
-        #: Non-exact requests served by escalation (no shard worker holds
-        #: the full-graph adjacency the CPI fast path multiplies by, so
-        #: the sharded tier answers every precision tier exactly and
-        #: counts the approximate ones as escalated).
-        self.escalated_queries = 0
 
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def submit(self, query: int, k: int = 5, precision=None) -> int:
-        """Route one request to its home shard; returns its sequence number.
-
-        ``precision`` is accepted for surface parity with the replica
-        scheduler: the plan is exact regardless (see
-        :attr:`escalated_queries`), so a ``bounded`` request gets a
-        byte-identical exact answer and is counted as escalated, and a
-        ``best_effort`` request is promoted to exact — never a looser
-        answer than asked for.
-        """
-        policy = PrecisionPolicy.resolve(precision) if precision is not None else None
-        if policy is not None and not policy.is_exact:
-            self.escalated_queries += 1
+    def submit(self, query: int, k: int = 5) -> int:
+        """Route one request to its home shard; returns its sequence number."""
         query = check_node_id(int(query), self.pool.n_nodes, "query")
         k = check_k(int(k))
         seq = self._next_seq
@@ -726,11 +709,9 @@ class ShardedScheduler:
             )
         return [self._results.pop(s) for s in seqs]
 
-    def run(
-        self, queries: Sequence[int], k: int = 5, precision=None
-    ) -> List[TopKResult]:
+    def run(self, queries: Sequence[int], k: int = 5) -> List[TopKResult]:
         """Serve a query stream end-to-end; results in input order."""
-        seqs = [self.submit(q, k, precision=precision) for q in queries]
+        seqs = [self.submit(q, k) for q in queries]
         self.drain()
         return self.take_results(seqs)
 
@@ -811,6 +792,4 @@ class ShardedScheduler:
         total["shards_skipped"] = self.shards_skipped
         total["skip_rate"] = self.skip_rate
         total["mean_fan_out"] = self.mean_fan_out
-        total["fast_path_queries"] = 0
-        total["escalated_queries"] = self.escalated_queries
         return total

@@ -70,6 +70,16 @@ class TestBuildAndQuery:
         assert main(["query", "--index", index_path, "--batch", "3,x"]) == 2
         assert main(["query", "--index", index_path, "--batch", ","]) == 2
 
+    def test_out_of_range_node_is_a_message(self, tmp_path, capsys):
+        index_path = str(tmp_path / "internet.npz")
+        main(["build", "--dataset", "Internet", "--scale", "0.1",
+              "--output", index_path])
+        capsys.readouterr()
+        for target in (["--node", "999999"], ["--batch", "1,999999"]):
+            assert main(["query", "--index", index_path, *target]) == 2
+            out = capsys.readouterr().out
+            assert out.startswith("error: node 999999 does not exist")
+
     def test_node_and_batch_exclusive(self):
         with pytest.raises(SystemExit):
             main(["query", "--index", "x.npz", "--node", "1", "--batch", "2,3"])
@@ -308,6 +318,12 @@ class TestShardedCommands:
         out = capsys.readouterr().out
         assert "3 queries" in out
         assert "shard-skip rate" in out
+
+    def test_sharded_out_of_range_node_is_a_message(self, manifest_path, capsys):
+        for target in (["--node", "999999"], ["--batch", "1,999999"]):
+            assert main(["query", "--index", manifest_path, *target]) == 2
+            out = capsys.readouterr().out
+            assert out.startswith("error: node 999999 does not exist")
 
     @pytest.mark.slow
     def test_serve_sharded_stream(self, index_path, tmp_path, capsys):

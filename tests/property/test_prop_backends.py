@@ -13,8 +13,8 @@ across the three structural graph families × every query mode:
 - personalized multi-seed scans via ``seed_workspace``,
 - fixed-schedule scans (precomputed BFS trees),
 - shard scans (``scan_shard``) against ``scan_shard_reference``,
-- the dynamic index in its pending-Woodbury-correction state and
-  again after compaction.
+- engines over the dynamic index before any update, in its
+  pending-Woodbury-correction state and again after compaction.
 
 ``ScanResult`` is a frozen dataclass, so a single ``==`` covers items
 and counters at once; any drift — even 1 ulp, even a counter off by
@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro import DynamicKDash, KDash
+from repro import DynamicKDash, KDash, QueryEngine
 from repro.core import ShardedIndex
 from repro.core.bfs_tree import BFSTree
 from repro.core.sharded import canonical_heap, scan_shard_reference
@@ -194,24 +194,30 @@ class TestShardScanDifferential:
 
 
 class TestDynamicBackendAgreement:
-    """The dynamic index serves identical answers under every backend.
+    """Engines over every backend serve identical answers in every state.
 
-    Two regimes, both exercised: with *pending* Woodbury corrections the
-    corrected path ranks a dense corrected column (backend-independent
-    arithmetic, but the battery pins that no backend perturbs it); after
-    ``rebuild()`` the clean path routes back through the base index's
-    pruned scan — i.e. through the backend registry — and must stay
-    bit-identical across backends.
+    Three index states, all served through a :class:`QueryEngine` over a
+    dynamic index, single and batched: *static* (no update yet, the
+    pruned scan); *pending* Woodbury corrections, where the corrected
+    path ranks a dense corrected column (backend-independent
+    arithmetic, but the battery pins that no backend perturbs it); and
+    *compacted*, after ``rebuild()``, where the clean path routes back
+    through the base index's pruned scan — i.e. through the backend
+    registry.  Whole results are compared, so items *and* counters must
+    match the oracle's.
     """
 
     @given(family_graphs(), st.integers(0, 10_000))
     def test_pending_and_compacted_states_agree(self, graph, stream_seed):
         rng = np.random.default_rng(stream_seed)
         n = graph.n_nodes
-        dynamics = {
-            name: DynamicKDash.from_index(
-                KDash(graph, c=0.9, kernel_backend=name).build(),
-                rebuild_threshold=None,
+        engines = {
+            name: QueryEngine(
+                DynamicKDash.from_index(
+                    KDash(graph, c=0.9, kernel_backend=name).build(),
+                    rebuild_threshold=None,
+                ),
+                cache_size=0,
             )
             for name in available_backends()
         }
@@ -221,24 +227,30 @@ class TestDynamicBackendAgreement:
         ]
         queries = sorted({int(rng.integers(n)) for _ in range(3)})
 
-        for dyn in dynamics.values():
-            dyn.apply_updates(inserts, ())
-        pendings = {d.n_pending_columns for d in dynamics.values()}
-        assert len(pendings) == 1  # identical update stream, same rank
-
-        oracle_dyn = dynamics[ORACLE]
-        for stage in ("pending", "compacted"):
-            for query in queries:
-                for k in k_values(n):
-                    want = oracle_dyn.top_k(query, k)
-                    for name, dyn in dynamics.items():
-                        if name == ORACLE:
-                            continue
-                        got = dyn.top_k(query, k)
-                        assert got.items == want.items, (stage, name, query, k)
+        oracle = engines[ORACLE]
+        for stage in ("static", "pending", "compacted"):
             if stage == "pending":
-                for dyn in dynamics.values():
-                    dyn.rebuild()
+                for engine in engines.values():
+                    engine.apply_updates(inserts, ())
+                pendings = {e.dynamic.n_pending_columns for e in engines.values()}
+                assert len(pendings) == 1  # identical update stream, same rank
+            elif stage == "compacted":
+                for engine in engines.values():
+                    engine.rebuild()
+            for k in k_values(n):
+                want_batch = oracle.top_k_many(queries, k)
+                for query, want in zip(queries, want_batch):
+                    assert oracle.top_k(query, k) == want, (stage, query, k)
+                    # The engine adds nothing to the index's own answer.
+                    assert oracle.dynamic.top_k(query, k) == want, (stage, query, k)
+                for name, engine in engines.items():
+                    if name == ORACLE:
+                        continue
+                    got = engine.top_k_many(queries, k)
+                    assert got == want_batch, (stage, name, k)
+                    for query, want in zip(queries, want_batch):
+                        got = engine.top_k(query, k)
+                        assert got == want, (stage, name, query, k)
 
 
 class TestNumbaFallbackPath:

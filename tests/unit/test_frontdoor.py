@@ -98,9 +98,24 @@ class TestWireExactness:
         with running_door(snapshot) as door:
             with FrontDoorClient(*door.address) as client:
                 responses = [client.query(q, k=5) for q in queries]
+                # A frame from a client of the retired precision tiers:
+                # the extra keys are ignored and the answer is exact.
+                legacy = client.request(
+                    {
+                        "op": "query",
+                        "query": int(queries[0]),
+                        "k": 5,
+                        "precision": "best_effort",
+                        "eps": 0.01,
+                    }
+                )
         want = reference.top_k_many(queries, 5)
         assert all(r["status"] == "ok" for r in responses)
         assert [wire_items(r) for r in responses] == [engine_items(w) for w in want]
+        assert legacy["status"] == "ok"
+        assert "error_bound" not in legacy
+        assert set(legacy) == set(responses[0])
+        assert wire_items(legacy) == engine_items(want[0])
 
     def test_pipelined_responses_match_by_id(self, snapshot):
         queries = make_queries(N, 20, "uniform", seed=9)
