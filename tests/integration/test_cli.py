@@ -1,8 +1,14 @@
 """Integration tests for the command-line interface."""
 
+import threading
+import time
+
 import pytest
 
 from repro.cli import main
+from repro.core import load_index
+from repro.query import QueryEngine
+from repro.serving import FrontDoorClient
 
 
 class TestStats:
@@ -346,6 +352,80 @@ class TestShardedCommands:
         assert "final shard-pool stats:" in out
 
 
+class TestServeFrontDoorCommand:
+    """``serve --port`` through the CLI, replica and sharded: answers over
+    TCP equal an in-process engine's, and the drain reconciles."""
+
+    QUERIES = (3, 7, 3, 12, 40)
+    K = 4
+
+    @pytest.fixture
+    def index_path(self, tmp_path, capsys):
+        path = str(tmp_path / "internet.npz")
+        main(["build", "--dataset", "Internet", "--scale", "0.1",
+              "--output", path])
+        capsys.readouterr()
+        return path
+
+    def serve_and_query(self, index_path, tmp_path, *extra):
+        """Run ``serve --port 0`` in a thread, query it once it is bound,
+        and return the wire responses after the serve window closes."""
+        port_file = tmp_path / "port"
+        codes = []
+        argv = [
+            "serve", "--index", index_path, "--port", "0",
+            "--port-file", str(port_file), "--serve-seconds", "3", *extra,
+        ]
+        server = threading.Thread(target=lambda: codes.append(main(argv)))
+        server.start()
+        try:
+            deadline = time.monotonic() + 60.0
+            while server.is_alive() and not (
+                port_file.exists() and port_file.read_text().endswith("\n")
+            ):
+                assert time.monotonic() < deadline, "front door never bound"
+                time.sleep(0.05)
+            assert server.is_alive(), "serve exited before binding"
+            port = int(port_file.read_text())
+            with FrontDoorClient("127.0.0.1", port, timeout=30.0) as client:
+                responses = [client.query(q, k=self.K) for q in self.QUERIES]
+        finally:
+            server.join(timeout=120.0)
+        assert not server.is_alive()
+        assert codes == [0]
+        return responses
+
+    def assert_matches_engine(self, index_path, responses):
+        engine = QueryEngine(load_index(index_path))
+        assert [r["status"] for r in responses] == ["ok"] * len(self.QUERIES)
+        for query, response in zip(self.QUERIES, responses):
+            wire = [(node, p) for node, p in response["items"]]
+            assert wire == list(engine.top_k(query, self.K).items), query
+
+    def test_replica_pool_over_tcp(self, index_path, tmp_path, capsys):
+        responses = self.serve_and_query(
+            index_path, tmp_path, "--workers", "2"
+        )
+        self.assert_matches_engine(index_path, responses)
+        out = capsys.readouterr().out
+        assert "front door listening on 127.0.0.1:" in out
+        assert "(epoch 0, 2 workers, max_inflight 256)" in out
+        assert "offered=5" in out and "ok=5" in out
+        assert "(reconciled: True)" in out
+        assert "final pool stats:" in out
+
+    def test_sharded_pool_over_tcp(self, index_path, tmp_path, capsys):
+        responses = self.serve_and_query(
+            index_path, tmp_path, "--sharded", "--shards", "2"
+        )
+        self.assert_matches_engine(index_path, responses)
+        out = capsys.readouterr().out
+        assert "(epoch 0, 2 shard workers, max_inflight 256)" in out
+        assert "offered=5" in out and "ok=5" in out
+        assert "(reconciled: True)" in out
+        assert "final pool stats:" in out
+
+
 class TestLoadgenCommand:
     @pytest.fixture
     def index_path(self, tmp_path, capsys):
@@ -371,6 +451,22 @@ class TestLoadgenCommand:
         assert payload["n_queries"] == 60
         assert payload["workers"] == 2
         assert payload["pool_stats"]["queries_served"] == 60
+
+    def test_sharded_workload(self, index_path, capsys):
+        assert main([
+            "loadgen", "--index", index_path, "--sharded", "--shards", "2",
+            "--queries", "60", "--batch-size", "8", "--k", "4",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "workload: 60 zipf queries, k=4, 2 shard workers (louvain), "
+            "batch size 8" in out
+        )
+        assert "served 60 queries" in out
+        assert "skip rate" in out and "hit rate" not in out
+        assert "request latency (n=60)" in out
+        assert "final pool stats:" in out
+        assert "queries_served: 60" in out
 
     @pytest.mark.slow
     def test_churn_workload_publishes_snapshots(self, index_path, capsys):
