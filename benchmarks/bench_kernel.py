@@ -1,7 +1,7 @@
 """Per-backend kernel latency on the serving smoke graph.
 
 This is the committed perf baseline for the pluggable kernel backends
-(``src/repro/query/backends/``): every registered backend runs the same
+(``src/repro/query/backends/``): both backends run the same
 Algorithm 4 pruned scans on the **same smoke graph as
 ``bench_batch_throughput.py``** (scale-free, n=2000, m=8000, c=0.95),
 and the answers are asserted bit-identical before any number is
@@ -156,7 +156,6 @@ def run_bench(quick: bool = False) -> dict:
     graph, index, prepared = build_prepared()
     hubs = hub_queries(graph)
     backends = list(available_backends())
-    numba_backend = get_backend("numba")
     y = np.zeros(graph.n_nodes)
 
     results = []
@@ -210,7 +209,6 @@ def run_bench(quick: bool = False) -> dict:
         "queries": hubs,
         "reps": REPS,
         "trials": TRIALS,
-        "numba_jit_active": bool(numba_backend.jit_active),
         "results": results,
         "speedup": workload_speedups,
         "headline": headline,
@@ -221,8 +219,7 @@ def print_report(report: dict) -> None:
     hubs = report["queries"]
     print(
         f"kernel bench — scale-free n={N_NODES} m={N_EDGES} c={C}, "
-        f"hub queries {hubs}, numba jit "
-        f"{'active' if report['numba_jit_active'] else 'inactive (fallback)'}"
+        f"hub queries {hubs}"
     )
     for row in report["results"]:
         lat = row["latency_us"]

@@ -628,8 +628,7 @@ def _cmd_serve(args) -> int:
             ignored.append("--cache-size (shard workers merge partials, no result cache)")
         if ignored:
             print("note: --sharded ignores " + "; ".join(ignored))
-        return _serve_sharded(args, lines)
-    if args.workers:
+    if args.sharded or args.workers:
         return _serve_pool(args, lines)
 
     registry, tracer = _serve_telemetry(args)
@@ -715,43 +714,45 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _serve_pool(args, lines: List[str]) -> int:
-    """``serve --workers N``: the stream through the replica-pool tier.
+def _build_deployment(args, index, registry, tracer, store):
+    """The pool-backed serving stack: ``(publisher, pool, scheduler)``.
 
-    Updates flow through the single-writer publisher (one snapshot per
-    flushed batch, hot-swapped into every worker at a barrier); queries
-    and batches are micro-batched and routed by the configured policy.
+    The one place ``--sharded`` chooses the deployment.  Without it the
+    publisher writes full-index snapshots to a
+    :class:`~repro.serving.replica.ReplicaPool` of ``--workers`` replicas
+    (2 when unset) behind a
+    :class:`~repro.serving.scheduler.MicroBatchScheduler` routed by
+    ``--router``.  With it every snapshot is re-sharded into a format-v3
+    manifest (``--shards``, ``--partitioner``) served by one worker per
+    shard behind a :class:`~repro.serving.sharded.ShardedScheduler`,
+    which routes each query to its home shard and skips bounded-out
+    shards.  Epoch 0 is published before the pool starts; the caller
+    closes the pool.
     """
-    import tempfile
-    import time
-
     from .core import DynamicKDash
-    from .exceptions import GraphError
     from .query import QueryEngine
     from .serving import (
         MicroBatchScheduler,
         ReplicaPool,
+        ShardPool,
+        ShardedScheduler,
         SnapshotPublisher,
-        SnapshotStore,
     )
 
-    index = load_index(args.index)
-    graph_labels = index.graph
-    publisher_engine = QueryEngine(
-        DynamicKDash.from_index(index, rebuild_threshold=None)
+    publisher = SnapshotPublisher(
+        QueryEngine(DynamicKDash.from_index(index, rebuild_threshold=None)),
+        store,
+        shard_spec=(args.shards, args.partitioner) if args.sharded else None,
+        registry=registry,
     )
-    registry, tracer = _serve_telemetry(args)
-
-    with tempfile.TemporaryDirectory(prefix="kdash-snapshots-") as default_dir:
-        store = SnapshotStore(args.snapshot_dir or default_dir)
-        publisher = SnapshotPublisher(publisher_engine, store, registry=registry)
-        snapshot = publisher.publish()
-        print(
-            f"published snapshot epoch {snapshot.epoch}; starting "
-            f"{args.workers} workers (router {args.router}, "
-            f"batch size {args.batch_size})"
+    snapshot = publisher.publish()
+    if args.sharded:
+        pool = ShardPool(snapshot)
+        scheduler = ShardedScheduler(
+            pool, batch_size=args.batch_size, registry=registry, tracer=tracer
         )
-        pool = ReplicaPool(snapshot, args.workers, cache_size=args.cache_size)
+    else:
+        pool = ReplicaPool(snapshot, args.workers or 2, cache_size=args.cache_size)
         scheduler = MicroBatchScheduler(
             pool,
             router=args.router,
@@ -759,133 +760,47 @@ def _serve_pool(args, lines: List[str]) -> int:
             registry=registry,
             tracer=tracer,
         )
-        dump = _MetricsDump(
-            args.metrics_json,
-            args.metrics_interval,
-            lambda: _merged_pool_metrics(registry, pool),
-        )
-
-        def flush(inserts, deletes, first_line) -> Optional[str]:
-            try:
-                report, snap = publisher.apply_and_publish(inserts, deletes)
-            except GraphError as exc:
-                return f"line {first_line}: {exc}"
-            scheduler.publish(snap)
-            print(
-                f"[epoch {snap.epoch}] published batch: "
-                f"+{report.n_inserted}/-{report.n_deleted} edges, "
-                f"hot-swapped {pool.n_workers} workers"
-            )
-            return None
-
-        def on_query(node: int, k: int) -> None:
-            result = scheduler.run([node], k)[0]
-            top_node, top_p = result.items[0]
-            print(
-                f"query {node:>6d} top-{k}: "
-                f"{graph_labels.label_of(top_node)} "
-                f"{top_p:.8f}  [epoch {pool.snapshot.epoch}]"
-            )
-
-        def on_batch(queries: List[int], k: int) -> None:
-            t0 = time.perf_counter()
-            scheduler.run(queries, k)
-            seconds = time.perf_counter() - t0
-            print(
-                f"batch of {len(queries)} queries: "
-                f"{len(queries) / seconds:,.0f} q/s across "
-                f"{pool.n_workers} workers  [epoch {pool.snapshot.epoch}]"
-            )
-
-        def on_rebuild() -> None:
-            publisher.engine.rebuild()
-            snap = publisher.publish()
-            scheduler.publish(snap)
-            print(f"[epoch {snap.epoch}] forced rebuild published and hot-swapped")
-
-        t_start = time.perf_counter()
-        try:
-            code = _run_ops_stream(
-                lines,
-                args.k,
-                *_ticked_handlers(
-                    dump, [flush, on_query, on_batch, on_rebuild]
-                ),
-            )
-            if code != 0:
-                return code
-            total = time.perf_counter() - t_start
-            per_worker = scheduler.collect_stats()
-            agg = scheduler.aggregate_stats(per_worker)
-            print(
-                f"served {agg['queries_served']} queries in {total:.2f}s "
-                f"across {pool.n_workers} workers: "
-                f"{agg['snapshot_swaps']} snapshot swaps, "
-                f"hit rate {agg['hit_rate']:.2f}, "
-                f"routed {scheduler.routed_counts}"
-            )
-            _print_engine_stats(agg, header="final pool stats:")
-            _print_engine_stats(
-                publisher.engine.stats.as_dict(), header="final publisher stats:"
-            )
-            if registry is not None:
-                _print_latency_envelope(scheduler.latency)
-            dump.final()
-            _finish_trace(tracer, args.trace_jsonl)
-        finally:
-            pool.close()
-    return 0
+    return publisher, pool, scheduler
 
 
-def _serve_sharded(args, lines: List[str]) -> int:
-    """``serve --sharded``: the stream through shard-owning workers.
+def _serve_pool(args, lines: List[str]) -> int:
+    """``serve --workers N`` / ``serve --sharded``: the stream through a pool.
 
-    The single-writer publisher re-shards the compacted index after
-    every flushed update batch and publishes a format-v3 manifest; the
-    :class:`~repro.serving.sharded.ShardedScheduler` routes queries to
-    their home shard, gathers remote candidates in descending bound
-    order, and skips bounded-out shards entirely — answers stay
-    bit-identical to single-process serving.
+    Updates flow through the single-writer publisher: one snapshot per
+    flushed batch (re-sharded under ``--sharded``), hot-swapped into
+    every worker at a barrier.  Queries and batches are micro-batched
+    and routed; sharded answers stay bit-identical to single-process
+    serving.
     """
     import tempfile
     import time
 
-    from .core import DynamicKDash
     from .exceptions import GraphError
-    from .query import QueryEngine
-    from .serving import (
-        ShardPool,
-        ShardedScheduler,
-        SnapshotPublisher,
-        SnapshotStore,
-    )
+    from .serving import SnapshotStore
 
+    sharded = args.sharded
+    workers = "shard workers" if sharded else "workers"
     index = load_index(args.index)
     graph_labels = index.graph
-    publisher_engine = QueryEngine(
-        DynamicKDash.from_index(index, rebuild_threshold=None)
-    )
-
     registry, tracer = _serve_telemetry(args)
 
     with tempfile.TemporaryDirectory(prefix="kdash-snapshots-") as default_dir:
         store = SnapshotStore(args.snapshot_dir or default_dir)
-        publisher = SnapshotPublisher(
-            publisher_engine,
-            store,
-            shard_spec=(args.shards, args.partitioner),
-            registry=registry,
+        publisher, pool, scheduler = _build_deployment(
+            args, index, registry, tracer, store
         )
-        snapshot = publisher.publish()
-        print(
-            f"published sharded snapshot epoch {snapshot.epoch} "
-            f"({args.shards} shards, {args.partitioner}); starting one "
-            f"worker per shard (batch size {args.batch_size})"
-        )
-        pool = ShardPool(snapshot)
-        scheduler = ShardedScheduler(
-            pool, batch_size=args.batch_size, registry=registry, tracer=tracer
-        )
+        if sharded:
+            print(
+                f"published sharded snapshot epoch {pool.snapshot.epoch} "
+                f"({args.shards} shards, {args.partitioner}); starting one "
+                f"worker per shard (batch size {args.batch_size})"
+            )
+        else:
+            print(
+                f"published snapshot epoch {pool.snapshot.epoch}; starting "
+                f"{pool.n_workers} workers (router {args.router}, "
+                f"batch size {args.batch_size})"
+            )
         dump = _MetricsDump(
             args.metrics_json,
             args.metrics_interval,
@@ -901,29 +816,36 @@ def _serve_sharded(args, lines: List[str]) -> int:
             print(
                 f"[epoch {snap.epoch}] published batch: "
                 f"+{report.n_inserted}/-{report.n_deleted} edges, "
-                f"re-sharded and hot-swapped {pool.n_workers} shard workers"
+                f"{'re-sharded and ' if sharded else ''}hot-swapped "
+                f"{pool.n_workers} {workers}"
             )
             return None
 
         def on_query(node: int, k: int) -> None:
             result = scheduler.run([node], k)[0]
             top_node, top_p = result.items[0]
+            fan_out = (
+                f", fan-out {scheduler.mean_fan_out:.2f}" if sharded else ""
+            )
             print(
                 f"query {node:>6d} top-{k}: "
                 f"{graph_labels.label_of(top_node)} "
-                f"{top_p:.8f}  [epoch {pool.snapshot.epoch}, "
-                f"fan-out {scheduler.mean_fan_out:.2f}]"
+                f"{top_p:.8f}  [epoch {pool.snapshot.epoch}{fan_out}]"
             )
 
         def on_batch(queries: List[int], k: int) -> None:
             t0 = time.perf_counter()
             scheduler.run(queries, k)
             seconds = time.perf_counter() - t0
+            tail = (
+                f"shards  [skip rate {scheduler.skip_rate:.2f}]"
+                if sharded
+                else f"workers  [epoch {pool.snapshot.epoch}]"
+            )
             print(
                 f"batch of {len(queries)} queries: "
                 f"{len(queries) / seconds:,.0f} q/s across "
-                f"{pool.n_workers} shards  [skip rate "
-                f"{scheduler.skip_rate:.2f}]"
+                f"{pool.n_workers} {tail}"
             )
 
         def on_rebuild() -> None:
@@ -931,7 +853,8 @@ def _serve_sharded(args, lines: List[str]) -> int:
             snap = publisher.publish()
             scheduler.publish(snap)
             print(
-                f"[epoch {snap.epoch}] forced rebuild re-sharded and hot-swapped"
+                f"[epoch {snap.epoch}] forced rebuild "
+                f"{'re-sharded' if sharded else 'published'} and hot-swapped"
             )
 
         t_start = time.perf_counter()
@@ -947,14 +870,25 @@ def _serve_sharded(args, lines: List[str]) -> int:
                 return code
             total = time.perf_counter() - t_start
             agg = scheduler.aggregate_stats(scheduler.collect_stats())
+            rates = (
+                f"skip rate {agg['skip_rate']:.2f}, "
+                f"mean fan-out {agg['mean_fan_out']:.2f}"
+                if sharded
+                else f"{agg['snapshot_swaps']} snapshot swaps, "
+                f"hit rate {agg['hit_rate']:.2f}"
+            )
             print(
                 f"served {agg['queries_served']} queries in {total:.2f}s "
-                f"across {pool.n_workers} shard workers: "
-                f"skip rate {agg['skip_rate']:.2f}, "
-                f"mean fan-out {agg['mean_fan_out']:.2f}, "
+                f"across {pool.n_workers} {workers}: {rates}, "
                 f"routed {scheduler.routed_counts}"
             )
-            _print_engine_stats(agg, header="final shard-pool stats:")
+            _print_engine_stats(
+                agg,
+                header=f"final {'shard-pool' if sharded else 'pool'} stats:",
+            )
+            _print_engine_stats(
+                publisher.engine.stats.as_dict(), header="final publisher stats:"
+            )
             if registry is not None:
                 _print_latency_envelope(scheduler.latency)
             dump.final()
@@ -978,56 +912,20 @@ def _serve_frontdoor(args) -> int:
     import threading
     import time
 
-    from .core import DynamicKDash
-    from .query import QueryEngine
-    from .serving import (
-        FrontDoor,
-        MicroBatchScheduler,
-        ReplicaPool,
-        ShardPool,
-        ShardedScheduler,
-        SnapshotPublisher,
-        SnapshotStore,
-    )
+    from .serving import FrontDoor, SnapshotStore
 
     index = load_index(args.index)
-    n_nodes = index.graph.n_nodes
-    publisher_engine = QueryEngine(
-        DynamicKDash.from_index(index, rebuild_threshold=None)
-    )
     registry, tracer = _serve_telemetry(args)
-    shard_spec = (args.shards, args.partitioner) if args.sharded else None
 
     with tempfile.TemporaryDirectory(prefix="kdash-snapshots-") as default_dir:
         store = SnapshotStore(args.snapshot_dir or default_dir)
-        publisher = SnapshotPublisher(
-            publisher_engine, store, shard_spec=shard_spec, registry=registry
-        )
-        snapshot = publisher.publish()
-        if args.sharded:
-            pool = ShardPool(snapshot)
-            scheduler = ShardedScheduler(
-                pool,
-                batch_size=args.batch_size,
-                registry=registry,
-                tracer=tracer,
-            )
-        else:
-            workers = args.workers or 2
-            pool = ReplicaPool(snapshot, workers, cache_size=args.cache_size)
-            scheduler = MicroBatchScheduler(
-                pool,
-                router=args.router,
-                batch_size=args.batch_size,
-                registry=registry,
-                tracer=tracer,
-            )
+        _, pool, scheduler = _build_deployment(args, index, registry, tracer, store)
         door = FrontDoor(
             scheduler,
             host=args.host,
             port=args.port,
             max_inflight=args.max_inflight,
-            n_nodes=n_nodes,
+            n_nodes=index.graph.n_nodes,
             default_k=args.k,
             registry=registry,
         )
@@ -1040,7 +938,7 @@ def _serve_frontdoor(args) -> int:
             host, port = door.start()
             print(
                 f"front door listening on {host}:{port} "
-                f"(epoch {snapshot.epoch}, {pool.n_workers} "
+                f"(epoch {pool.snapshot.epoch}, {pool.n_workers} "
                 f"{'shard ' if args.sharded else ''}workers, "
                 f"max_inflight {args.max_inflight})",
                 flush=True,
@@ -1078,9 +976,8 @@ def _serve_frontdoor(args) -> int:
                 + f" (reconciled: {door.reconciled()})"
             )
             _print_latency_envelope(door.latency)
-            per_worker = scheduler.collect_stats()
             _print_engine_stats(
-                scheduler.aggregate_stats(per_worker),
+                scheduler.aggregate_stats(scheduler.collect_stats()),
                 header="final pool stats:",
             )
             dump.final()
@@ -1103,19 +1000,8 @@ def _cmd_loadgen(args) -> int:
     import json
     import tempfile
 
-    from .core import DynamicKDash
     from .obs import MetricsRegistry, Tracer
-    from .query import QueryEngine
-    from .serving import (
-        MicroBatchScheduler,
-        ReplicaPool,
-        ShardPool,
-        ShardedScheduler,
-        SnapshotPublisher,
-        SnapshotStore,
-        make_queries,
-        run_load,
-    )
+    from .serving import SnapshotStore, make_queries, run_load
 
     if args.connect:
         return _loadgen_connect(args)
@@ -1127,54 +1013,26 @@ def _cmd_loadgen(args) -> int:
         return 2
     index = load_index(args.index)
     n = index.graph.n_nodes
-    publisher_engine = QueryEngine(
-        DynamicKDash.from_index(index, rebuild_threshold=None)
-    )
     queries = make_queries(n, args.queries, args.dist, seed=args.seed)
     registry = MetricsRegistry()
     tracer = Tracer(sample_every=args.trace_sample) if args.trace_jsonl else None
-    shard_spec = (args.shards, args.partitioner) if args.sharded else None
 
     with tempfile.TemporaryDirectory(prefix="kdash-snapshots-") as default_dir:
         store = SnapshotStore(args.snapshot_dir or default_dir)
-        publisher = SnapshotPublisher(
-            publisher_engine, store, shard_spec=shard_spec, registry=registry
+        publisher, pool, scheduler = _build_deployment(
+            args, index, registry, tracer, store
         )
-        snapshot = publisher.publish()
-        if args.sharded:
+        with pool:
+            deployment = (
+                f"{args.shards} shard workers ({args.partitioner})"
+                if args.sharded
+                else f"{pool.n_workers} workers, router {args.router}"
+            )
             print(
                 f"index: n={n:,} nodes; workload: {args.queries} {args.dist} "
-                f"queries, k={args.k}, {args.shards} shard workers "
-                f"({args.partitioner}), batch size {args.batch_size}"
+                f"queries, k={args.k}, {deployment}, "
+                f"batch size {args.batch_size}"
             )
-            pool_ctx = ShardPool(snapshot)
-        else:
-            print(
-                f"index: n={n:,} nodes; workload: {args.queries} {args.dist} "
-                f"queries, k={args.k}, {args.workers} workers, "
-                f"router {args.router}, batch size {args.batch_size}"
-            )
-            pool_ctx = ReplicaPool(
-                snapshot, args.workers, cache_size=args.cache_size
-            )
-        with pool_ctx as pool:
-            if args.sharded:
-                scheduler = ShardedScheduler(
-                    pool,
-                    batch_size=args.batch_size,
-                    registry=registry,
-                    tracer=tracer,
-                )
-                router_name = "home"
-            else:
-                scheduler = MicroBatchScheduler(
-                    pool,
-                    router=args.router,
-                    batch_size=args.batch_size,
-                    registry=registry,
-                    tracer=tracer,
-                )
-                router_name = args.router
             report = run_load(
                 scheduler,
                 queries,
@@ -1183,7 +1041,7 @@ def _cmd_loadgen(args) -> int:
                 update_every=args.update_every,
                 updates_per_batch=args.updates_per_batch,
                 seed=args.seed,
-                router_name=router_name,
+                router_name="home" if args.sharded else args.router,
             )
             if args.metrics_json:
                 from .obs import write_metrics_json

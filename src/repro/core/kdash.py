@@ -97,8 +97,8 @@ class KDash:
         Seed for the stochastic reorderings (Louvain sweeps / random).
     kernel_backend:
         Kernel backend for the pruned scan — ``"python"``, ``"numpy"``,
-        ``"numba"``, or ``None`` for the ``REPRO_KERNEL_BACKEND``
-        environment default.  Every backend is bit-identical; see
+        or ``None`` for the ``REPRO_KERNEL_BACKEND`` environment
+        default.  Both backends are bit-identical; see
         :mod:`repro.query.backends`.
 
     Examples

@@ -199,8 +199,9 @@ def canonical_heap(n: int, k: int) -> List[Tuple[float, int, int]]:
     :func:`~repro.query.kernel.pruned_scan`, so the heap minimum is the
     canonically worst retained answer and merging candidates from any
     number of shard scans resolves ties identically to one global scan.
+    ``k`` is clamped to ``n``: more slots than nodes can never fill.
     """
-    heap = [(0.0, -(n + j), -1) for j in range(k)]
+    heap = [(0.0, -(n + j), -1) for j in range(min(k, n))]
     heapq.heapify(heap)
     return heap
 

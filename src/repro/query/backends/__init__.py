@@ -1,7 +1,8 @@
 """Pluggable kernel backends for the Algorithm 4 scan loops.
 
-The registry maps a backend *name* to a stateless singleton implementing
-the :class:`~repro.query.backends.base.KernelBackend` protocol:
+The registry is a fixed mapping from a backend *name* to a stateless
+singleton implementing the
+:class:`~repro.query.backends.base.KernelBackend` protocol:
 
 ``python``
     The scalar reference loops — the exactness oracle.
@@ -9,9 +10,6 @@ the :class:`~repro.query.backends.base.KernelBackend` protocol:
     Blocked vectorisation of bound maintenance and the proximity
     reduction (gathered ``csr_matvec`` per chunk), bit-identical to the
     reference.
-``numba``
-    JIT-compiled scalar loop when numba is importable; degrades
-    gracefully to ``numpy`` when it is not.
 
 Selection order for a scan: explicit ``backend=`` argument on the call,
 else the ``PreparedIndex``'s construction-time choice, which itself
@@ -32,7 +30,6 @@ from typing import Dict, Optional, Tuple, Union
 
 from ...exceptions import InvalidParameterError
 from .base import KernelBackend, ScanResult
-from .numba_jit import NUMBA_AVAILABLE, NumbaJitBackend
 from .numpy_blocked import NumpyBlockedBackend
 from .python_ref import PythonReferenceBackend
 
@@ -40,11 +37,9 @@ __all__ = [
     "DEFAULT_BACKEND",
     "ENV_VAR",
     "KernelBackend",
-    "NUMBA_AVAILABLE",
     "ScanResult",
     "available_backends",
     "get_backend",
-    "register_backend",
     "resolve_backend_name",
 ]
 
@@ -58,31 +53,20 @@ ENV_VAR = "REPRO_KERNEL_BACKEND"
 #: bit-identical, their performance envelopes differ.
 DEFAULT_BACKEND = "python"
 
-_REGISTRY: Dict[str, KernelBackend] = {}
-
-
-def register_backend(backend: KernelBackend) -> None:
-    """Add ``backend`` to the registry under ``backend.name``.
-
-    Re-registering a name replaces the previous entry (useful for
-    tests); names are case-sensitive and must be lowercase.
-    """
-    name = backend.name
-    if not isinstance(name, str) or not name or name != name.lower():
-        raise InvalidParameterError(
-            f"kernel backend name must be a lowercase string, got {name!r}"
-        )
-    _REGISTRY[name] = backend
+_REGISTRY: Dict[str, KernelBackend] = {
+    backend.name: backend
+    for backend in (PythonReferenceBackend(), NumpyBlockedBackend())
+}
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Sorted names of every registered backend."""
+    """Sorted names of every backend."""
     return tuple(sorted(_REGISTRY))
 
 
 def resolve_backend_name(name: Optional[str] = None) -> str:
     """Resolve ``name`` (or the environment, or the default) to a
-    registered backend name, raising ``InvalidParameterError`` on an
+    backend name, raising ``InvalidParameterError`` on an
     unknown one."""
     if name is None:
         name = os.environ.get(ENV_VAR, "").strip() or DEFAULT_BACKEND
@@ -100,14 +84,10 @@ def get_backend(
 ) -> KernelBackend:
     """Return a backend singleton.
 
-    Accepts ``None`` (environment / default), a registered name, or an
+    Accepts ``None`` (environment / default), a backend name, or an
     already-resolved backend object (returned as-is).
     """
     if backend is not None and not isinstance(backend, str):
         return backend
     return _REGISTRY[resolve_backend_name(backend)]
 
-
-register_backend(PythonReferenceBackend())
-register_backend(NumpyBlockedBackend())
-register_backend(NumbaJitBackend())

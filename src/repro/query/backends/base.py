@@ -4,7 +4,7 @@ A *kernel backend* is an interchangeable implementation of the two hot
 loops of the library — the Algorithm 4 pruned scan
 (:meth:`KernelBackend.scan`) and the within-shard Hölder-bounded scan
 (:meth:`KernelBackend.scan_shard`).  Backends trade implementation
-strategy (pure-Python loop, blocked numpy vectorisation, numba JIT) but
+strategy (pure-Python loop, blocked numpy vectorisation) but
 are **forbidden** from trading answers:
 
 Exactness contract
@@ -62,7 +62,7 @@ class ScanResult:
 
 @runtime_checkable
 class KernelBackend(Protocol):
-    """What a registered kernel backend must provide.
+    """What a kernel backend must provide.
 
     Implementations are stateless singletons; any per-index derived
     state (numpy mirrors, scratch buffers) is cached *on the index
@@ -70,7 +70,7 @@ class KernelBackend(Protocol):
     two indexes never share scratch space.
     """
 
-    #: Registry key (``"python"``, ``"numpy"``, ``"numba"``).
+    #: Registry key (``"python"`` or ``"numpy"``).
     name: str
 
     def scan(

@@ -31,9 +31,9 @@ implementations it replaces:
   after every seed was evaluated and stops the whole scan outright.
 
 The scan *implementation* is pluggable: this module validates the
-arguments and dispatches to a registered kernel backend
-(:mod:`repro.query.backends`) — the scalar ``python`` reference, the
-blocked ``numpy`` vectorisation, or the ``numba`` JIT.  All backends are
+arguments and dispatches to a kernel backend
+(:mod:`repro.query.backends`) — the scalar ``python`` reference or the
+blocked ``numpy`` vectorisation.  Both backends are
 bit-identical by contract; selection follows the explicit ``backend=``
 argument, then the index's construction-time choice, then the
 ``REPRO_KERNEL_BACKEND`` environment variable.
@@ -90,7 +90,7 @@ def pruned_scan(
         ``layer_groups()`` / ``n_scheduled`` (a ``BFSTree``) for a fixed
         visit order.
     backend:
-        Kernel backend override — a registered name, a backend object,
+        Kernel backend override — a backend name, a backend object,
         or ``None`` to use the index's construction-time choice.  Every
         backend returns bit-identical results; see
         :mod:`repro.query.backends`.
@@ -122,6 +122,10 @@ def pruned_scan(
     if not seeds:
         raise InvalidParameterError("pruned_scan requires a non-empty seed set")
 
+    if k is not None:
+        # The heap can never hold more than n real answers; sizing it by
+        # an unbounded k would allocate (and heapify) k dummies.
+        k = min(k, prepared.n)
     chosen = backend if backend is not None else prepared.backend
     return get_backend(chosen).scan(
         prepared,

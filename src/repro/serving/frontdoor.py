@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import queue as queue_module
 import socket
 import struct
@@ -565,6 +566,8 @@ class FrontDoor:
             not isinstance(timeout_ms, (int, float))
             or isinstance(timeout_ms, bool)
             or timeout_ms <= 0
+            # json.loads accepts NaN and Infinity; neither is a deadline.
+            or not math.isfinite(timeout_ms)
         ):
             return f"timeout_ms must be a positive number, got {timeout_ms!r}"
         return None

@@ -5,6 +5,8 @@ Each experiment runs on a small-scale context and must (a) complete,
 *qualitative shape* where the shape is robust at tiny scale.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,23 @@ def dictionary_ctx():
     return ExperimentContext(scale=0.4, dataset_names=("Dictionary",))
 
 
+def best_seconds(*fns, repeats=25):
+    """Best wall-clock of each callable over interleaved rounds.
+
+    One warm-up call each, then ``repeats`` rounds that time every
+    callable in turn, so load from other processes hits them alike.
+    """
+    for fn in fns:
+        fn()
+    best = [float("inf")] * len(fns)
+    for _ in range(repeats):
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best
+
+
 class TestFig2:
     def test_structure_and_shape(self, ctx):
         table = fig2_efficiency.run(ctx, nb_ranks=(10, 40), bpa_hubs=40, n_queries=3, repeats=1)
@@ -39,9 +58,27 @@ class TestFig2:
         assert len(table.rows) == 2
         for name in ("Internet", "Citation"):
             row = table.row_dict(name)
-            # headline shape: K-dash(5) beats both baselines
-            assert row["K-dash(5)"] < row["NB_LIN(40)"]
-            assert row["K-dash(5)"] < row["BPA(5)"]
+            assert all(row[column] > 0 for column in table.columns[1:])
+            index = ctx.kdash(name)
+            nb_lin = ctx.nb_lin(name, 40)
+            bpa = ctx.bpa(name, 40)
+            queries = ctx.queries(name, 3)
+            n = index.graph.n_nodes
+            # Headline shape, independent of host speed: K-dash(5)
+            # computes proximities for a fraction of the nodes, while
+            # NB_LIN scores all n of them on every query.
+            for q in queries:
+                assert index.top_k(q, 5).n_computed < n
+                assert nb_lin.top_k(q, 5).n_computed == n
+            # Wall-clock only as warm, interleaved best-of-N times (the
+            # table's single repeat is too noisy to order the columns).
+            kdash_s, nb_lin_s, bpa_s = best_seconds(
+                lambda: [index.top_k(q, 5) for q in queries],
+                lambda: [nb_lin.top_k(q, 5) for q in queries],
+                lambda: [bpa.top_k(q, 5) for q in queries],
+            )
+            assert kdash_s < nb_lin_s, (name, kdash_s, nb_lin_s)
+            assert kdash_s < bpa_s, (name, kdash_s, bpa_s)
 
 
 class TestFig3:

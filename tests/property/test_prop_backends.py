@@ -8,7 +8,7 @@ and order), the same ``n_visited``/``n_computed``/``n_pruned`` counters,
 and the same ``terminated_early`` flag.  This suite drives that contract
 across the three structural graph families × every query mode:
 
-- top-k (canonical-heap scans) for k ∈ {1, 5, n},
+- top-k (canonical-heap scans) for k ∈ {1, 5, n, n + 7},
 - threshold (Definition 2 range queries) across loose and tight θ,
 - personalized multi-seed scans via ``seed_workspace``,
 - fixed-schedule scans (precomputed BFS trees),
@@ -22,7 +22,6 @@ one — fails the property.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from repro import DynamicKDash, KDash, QueryEngine
@@ -31,7 +30,6 @@ from repro.core.bfs_tree import BFSTree
 from repro.core.sharded import canonical_heap, scan_shard_reference
 from repro.graph import erdos_renyi_graph, grid_graph, scale_free_digraph
 from repro.query.backends import available_backends, get_backend
-from repro.query.backends.numba_jit import NUMBA_AVAILABLE
 
 ORACLE = "python"
 
@@ -56,8 +54,8 @@ def family_graphs(draw):
 
 
 def k_values(n: int):
-    """The battery's k axis: 1, 5 and the full n."""
-    return sorted({1, min(5, n), n})
+    """The battery's k axis: 1, 5, the full n and a k beyond n."""
+    return sorted({1, min(5, n), n, n + 7})
 
 
 def assert_backends_match(prepared, y, seeds, *, total_mass, **kw):
@@ -170,7 +168,7 @@ class TestShardScanDifferential:
         query = int(rng.integers(n))
         rows, vals = sharded.scatter_column(y, query)
         ymax = float(vals.max()) if vals.size else 0.0
-        for k in (1, 5):
+        for k in (1, 5, n + 7):
             for floor in (0.0, 1e-4):
                 for shard_id in range(sharded.n_shards):
                     shard = sharded.shard(shard_id)
@@ -252,30 +250,3 @@ class TestDynamicBackendAgreement:
                         got = engine.top_k(query, k)
                         assert got == want, (stage, name, query, k)
 
-
-class TestNumbaFallbackPath:
-    """The numba backend's graceful degradation is itself under test."""
-
-    def test_jit_state_is_consistent(self):
-        backend = get_backend("numba")
-        if not NUMBA_AVAILABLE:
-            # Without numba the backend must report inactive JIT and
-            # serve numpy-delegated answers (exactness already covered
-            # by the differential battery above, which includes it).
-            assert not backend.jit_active
-        else:  # pragma: no cover - exercised only with numba
-            assert backend.jit_active or backend._degraded
-
-    @pytest.mark.slow
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    def test_jit_warmup_matches_oracle(self):  # pragma: no cover
-        """First JIT compilation + self-check on a real scan (slow)."""
-        graph = scale_free_digraph(200, 800, seed=3)
-        prepared = KDash(graph, c=0.9).build()._prepared
-        y = np.zeros(graph.n_nodes)
-        rows = prepared.scatter_column(y, 0)
-        total_mass = prepared.total_mass_of(0)
-        want = get_backend(ORACLE).scan(prepared, y, (0,), total_mass=total_mass, k=10)
-        got = get_backend("numba").scan(prepared, y, (0,), total_mass=total_mass, k=10)
-        assert got == want
-        y[rows] = 0.0

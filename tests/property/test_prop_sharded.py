@@ -2,7 +2,7 @@
 
 The PR-4 acceptance bar: for random graphs across the three structural
 families, every cell of shard counts {1, 2, 5} × partitioners
-{louvain, range} × k ∈ {1, 5, n} must make the scatter-gather planner's
+{louvain, range} × k ∈ {1, 5, n, n + 7} must make the scatter-gather planner's
 top-k — ids, proximities, *and order* — **exactly** equal to the
 single-index engine's, with no tolerance.  The dynamic case holds too:
 under pending Woodbury corrections both serve the identical corrected
@@ -39,8 +39,8 @@ def family_graphs(draw):
 
 
 def k_values(n: int):
-    """The satellite grid's k axis: 1, 5 and the full n."""
-    return sorted({1, min(5, n), n})
+    """The satellite grid's k axis: 1, 5, the full n and a k beyond n."""
+    return sorted({1, min(5, n), n, n + 7})
 
 
 class TestShardedExactness:

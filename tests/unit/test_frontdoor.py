@@ -171,6 +171,8 @@ class TestProtocolAndOps:
             ({"op": "query", "query": 0, "k": 0}, "positive integer"),
             ({"op": "query", "query": 0, "k": "five"}, "positive integer"),
             ({"op": "query", "query": 0, "timeout_ms": -3}, "positive number"),
+            ({"op": "query", "query": 0, "timeout_ms": float("nan")}, "positive number"),
+            ({"op": "query", "query": 0, "timeout_ms": float("inf")}, "positive number"),
         ],
     )
     def test_invalid_requests_answer_error(self, snapshot, payload, fragment):
@@ -182,6 +184,19 @@ class TestProtocolAndOps:
                 # The connection survives an application-level error.
                 assert client.query(0, k=3)["status"] == "ok"
             assert door.reconciled()
+
+    def test_unbounded_k_answers_every_node(self, snapshot):
+        """Any positive k is admitted; one far above n must be answered
+        promptly with all n nodes, not size a k-slot heap in the worker
+        (which took seconds and a gigabyte per query)."""
+        with running_door(snapshot, workers=1) as door:
+            with FrontDoorClient(*door.address, timeout=2.0) as client:
+                response = client.query(3, k=10**7)
+        assert response["status"] == "ok"
+        assert response["k"] == 10**7
+        assert wire_items(response) == engine_items(
+            reference_engine(snapshot).top_k(3, N)
+        )
 
     def test_non_object_payload_is_protocol_error(self, snapshot):
         with running_door(snapshot) as door:

@@ -10,6 +10,8 @@ cases the kernel has to get right: ``k >= n``, disconnected queries,
 dangling queries and single-node graphs.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -62,13 +64,16 @@ class TestTopKMode:
 
     def test_k_at_least_n(self, random_index):
         n = random_index.graph.n_nodes
-        for k in (n, n + 5, 3 * n):
+        at_n = random_index.top_k(7, n)
+        for k in (n, n + 5, 3 * n, 10**7):
             result = random_index.top_k(7, k)
             expected = brute_force_topk(random_index, 7, k)
             assert len(result.items) == n
             assert np.allclose(
                 result.proximities, [p for _, p in expected], atol=ATOL
             )
+            # A k beyond n runs the k = n search: same items and counters.
+            assert result == dataclasses.replace(at_n, k=k)
 
     def test_dangling_graph(self, dangling_index):
         for query in (0, 20, 79):

@@ -117,6 +117,11 @@ class TestCanonicalHeapHelpers:
         theta = merge_candidates(heap, [(1, 0.4), (2, 0.7)])
         assert theta == 0.4
 
+    def test_k_beyond_n_is_clamped(self):
+        # More slots than nodes can never fill; a large k must not size it.
+        assert canonical_heap(5, 1000) == canonical_heap(5, 5)
+        assert len(canonical_heap(5, 1000)) == 5
+
 
 class TestScatterGatherPlanner:
     def test_matches_engine_on_er_graph(self, er_graph):
