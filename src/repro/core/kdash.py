@@ -5,8 +5,10 @@ Build phase (:meth:`KDash.build`):
 1. reorder the nodes with one of the Section 4.2.2 heuristics;
 2. form ``W = I - (1-c) A'`` over the reordered transition matrix;
 3. LU-factorise ``W`` without pivoting (Equations 6–7);
-4. invert the triangular factors sparsely (Equations 4–5), storing
-   ``L^-1`` column-wise and ``U^-1`` row-wise;
+4. invert the triangular factors sparsely (Equations 4–5) one level set
+   at a time (:func:`~repro.lu.inverse.triangular_inverses`, bitwise
+   equal to the reach-based reference), storing ``L^-1`` column-wise and
+   ``U^-1`` row-wise;
 5. precompute the estimator inputs ``Amax``, ``Amax(v)`` and ``A_vv``.
 
 Query phase (:meth:`KDash.top_k`, Algorithm 4): scatter column ``q`` of
@@ -91,8 +93,6 @@ class KDash:
     lu_backend:
         ``"auto"`` (SuperLU with pure-Python fallback), ``"scipy"``, or
         ``"crout"`` (the from-scratch Equations 6–7 kernel).
-    inverse_backend:
-        Forwarded to :func:`repro.lu.inverse.triangular_inverses`.
     reordering_seed:
         Seed for the stochastic reorderings (Louvain sweeps / random).
     kernel_backend:
@@ -116,7 +116,6 @@ class KDash:
         c: float = 0.95,
         reordering="hybrid",
         lu_backend: str = "auto",
-        inverse_backend: str = "auto",
         reordering_seed: int = 0,
         kernel_backend: Optional[str] = None,
     ) -> None:
@@ -137,9 +136,6 @@ class KDash:
                 kwargs["seed"] = reordering_seed
             self._strategy = get_reordering(reordering, **kwargs)
         self.lu_backend = check_choice(lu_backend, ("auto", "scipy", "crout"), "lu_backend")
-        self.inverse_backend = check_choice(
-            inverse_backend, ("auto", "scipy", "reach"), "inverse_backend"
-        )
         self._built = False
         self.build_report: Optional[BuildReport] = None
 
@@ -163,9 +159,7 @@ class KDash:
         lu_seconds = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        self._l_inv, self._u_inv = triangular_inverses(
-            ell, u, backend=self.inverse_backend
-        )
+        self._l_inv, self._u_inv = triangular_inverses(ell, u)
         inverse_seconds = time.perf_counter() - t0
 
         # Estimator inputs live in *original* node order.

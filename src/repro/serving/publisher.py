@@ -55,8 +55,12 @@ class SnapshotPublisher:
         :class:`~repro.serving.sharded.ShardPool` to hot-swap.
     registry:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`: publish
-        count/latency, updates-applied counters, and the current epoch
-        gauge.  ``None`` = telemetry off.
+        count/latency, updates-applied counters, the current epoch
+        gauge, and the published index's build telemetry
+        (``repro_build_seconds{phase=...}`` per
+        :class:`~repro.core.kdash.BuildReport` phase,
+        ``repro_index_fill_ratio`` and ``repro_snapshot_bytes``).
+        ``None`` = telemetry off.
     """
 
     def __init__(
@@ -126,7 +130,37 @@ class SnapshotPublisher:
             self.metrics.gauge(
                 "repro_publisher_epoch", help="latest published snapshot epoch"
             ).set(snapshot.epoch)
+            self._record_index(snapshot)
         return snapshot
+
+    def _record_index(self, snapshot: Snapshot) -> None:
+        """Gauges describing the index behind the snapshot just published.
+
+        The build phases come from the base index's
+        :class:`~repro.core.kdash.BuildReport`; an index loaded from an
+        archive has none, so only its fill ratio and bytes are set.
+        """
+        index = self.engine.index
+        report = index.build_report
+        if report is not None:
+            for phase, seconds in (
+                ("reorder", report.reorder_seconds),
+                ("lu", report.lu_seconds),
+                ("inverse", report.inverse_seconds),
+                ("total", report.total_seconds),
+            ):
+                self.metrics.gauge(
+                    f"repro_build_seconds{{phase={phase}}}",
+                    help="build seconds of the published index, per phase",
+                ).set(seconds)
+        n_edges = index.graph.n_edges
+        self.metrics.gauge(
+            "repro_index_fill_ratio",
+            help="nnz(L^-1) + nnz(U^-1) per edge of the published index",
+        ).set(index.index_nnz / n_edges if n_edges else 0.0)
+        self.metrics.gauge(
+            "repro_snapshot_bytes", help="bytes on disk of the latest snapshot"
+        ).set(snapshot.nbytes)
 
     def apply_and_publish(
         self,

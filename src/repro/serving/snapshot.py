@@ -50,6 +50,18 @@ class Snapshot:
     def filename(self) -> str:
         return os.path.basename(self.path)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes on disk: the archive, plus the shard payloads of a
+        sharded manifest."""
+        directory, name = os.path.split(self.path)
+        prefix = f"{name[:-4]}.shard"
+        total = os.path.getsize(self.path)
+        for other in os.listdir(directory):
+            if other.startswith(prefix) and other.endswith(".npz") and ".tmp-" not in other:
+                total += os.path.getsize(os.path.join(directory, other))
+        return total
+
 
 class SnapshotStore:
     """A directory of epoch-tagged index snapshots with a CURRENT pointer.

@@ -16,6 +16,8 @@ end against live worker processes:
   protocol.
 """
 
+import os
+
 import pytest
 
 from repro.core import DynamicKDash, KDash
@@ -280,3 +282,89 @@ class TestLoadgenEnvelope:
             scheduler = MicroBatchScheduler(pool, router="rr", batch_size=4)
             report = run_load(scheduler, [3, 11, 28], k=5, router_name="rr")
         assert report.latency == {}
+
+
+def _prometheus_values(registry):
+    """``{series: value}`` parsed back out of the Prometheus exposition."""
+    from repro.obs.export import to_prometheus
+
+    values = {}
+    for line in to_prometheus(registry).splitlines():
+        if line and not line.startswith("#"):
+            series, value = line.rsplit(" ", 1)
+            values[series] = float(value)
+    return values
+
+
+class TestPublisherBuildTelemetry:
+    """The publisher exports the published index's build phases, fill
+    ratio and snapshot bytes through its registry."""
+
+    PHASES = ("reorder", "lu", "inverse", "total")
+
+    def publish(self, tmp_path, shard_spec=None):
+        registry = MetricsRegistry()
+        dyn = DynamicKDash(replica_graph(), c=0.9, rebuild_threshold=None)
+        publisher = SnapshotPublisher(
+            QueryEngine(dyn), SnapshotStore(str(tmp_path)),
+            shard_spec=shard_spec, registry=registry,
+        )
+        return registry, publisher, publisher.publish()
+
+    def assert_describes(self, values, publisher, snapshot):
+        index = publisher.engine.index
+        report = index.build_report
+        seconds = (
+            report.reorder_seconds, report.lu_seconds,
+            report.inverse_seconds, report.total_seconds,
+        )
+        for phase, expected in zip(self.PHASES, seconds):
+            assert values[f'repro_build_seconds{{phase="{phase}"}}'] == pytest.approx(expected)
+        assert values["repro_index_fill_ratio"] == pytest.approx(
+            report.fill_in.inverse_ratio
+        )
+        assert values["repro_snapshot_bytes"] == snapshot.nbytes
+
+    def test_gauges_describe_the_published_index(self, tmp_path):
+        registry, publisher, snapshot = self.publish(tmp_path)
+        values = _prometheus_values(registry)
+        self.assert_describes(values, publisher, snapshot)
+        assert snapshot.nbytes == os.path.getsize(snapshot.path)
+        assert values["repro_build_seconds{phase=\"total\"}"] >= values[
+            "repro_build_seconds{phase=\"inverse\"}"
+        ]
+
+    def test_compaction_reports_the_rebuilt_index(self, tmp_path):
+        registry, publisher, first = self.publish(tmp_path)
+        old_report = publisher.engine.index.build_report
+        u, v = next(
+            (u, v) for u in range(N) for v in range(N)
+            if u != v and not publisher.engine.dynamic.graph.has_edge(u, v)
+        )
+        _, second = publisher.apply_and_publish(inserts=[(u, v, 1.0)])
+        assert publisher.engine.index.build_report is not old_report
+        self.assert_describes(_prometheus_values(registry), publisher, second)
+
+    def test_sharded_bytes_count_every_payload(self, tmp_path):
+        registry, publisher, snapshot = self.publish(tmp_path, shard_spec=(2, "range"))
+        files = [name for name in os.listdir(tmp_path) if name.endswith(".npz")]
+        assert len(files) == 3  # manifest + two shard payloads
+        expected = sum(os.path.getsize(os.path.join(tmp_path, name)) for name in files)
+        assert snapshot.nbytes == expected
+        self.assert_describes(_prometheus_values(registry), publisher, snapshot)
+
+    def test_loaded_index_exports_size_but_no_phases(self, tmp_path):
+        from repro.core import load_index, save_index
+
+        path = str(tmp_path / "index.npz")
+        save_index(KDash(replica_graph(), c=0.9).build(), path)
+        registry = MetricsRegistry()
+        dyn = DynamicKDash.from_index(load_index(path), rebuild_threshold=None)
+        store = SnapshotStore(str(tmp_path / "snapshots"))
+        snapshot = SnapshotPublisher(QueryEngine(dyn), store, registry=registry).publish()
+        values = _prometheus_values(registry)
+        assert not any(series.startswith("repro_build_seconds") for series in values)
+        assert values["repro_index_fill_ratio"] == pytest.approx(
+            dyn.base_index.index_nnz / dyn.graph.n_edges
+        )
+        assert values["repro_snapshot_bytes"] == snapshot.nbytes
